@@ -257,8 +257,14 @@ class LaurentPoly:
         return self.vs == other.vs and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # a constant equals its integer (see __eq__), so it must hash like it
         if self._hash is None:
-            self._hash = hash((self.vs, frozenset(self.terms.items())))
+            if not self.terms:
+                self._hash = hash(0)
+            elif len(self.terms) == 1 and not any(next(iter(self.terms))):
+                self._hash = hash(next(iter(self.terms.values())))
+            else:
+                self._hash = hash((self.vs, frozenset(self.terms.items())))
         return self._hash
 
     # -- division ----------------------------------------------------------

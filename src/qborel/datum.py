@@ -249,12 +249,17 @@ class QuantumDatum:
                 if i != j and self.p[i][j] * self.p[j][i] != q ** (self.d[i] * self.cartan[i][j]):
                     raise AssertionError(f"p_{i+1}{j+1} p_{j+1}{i+1} constraint violated")
         if self.series == "C" and n >= 2:
-            assert self.p[n - 1][n - 1] == q ** 2
-            assert self.p[n - 2][n - 1] * self.p[n - 1][n - 2] == q ** (-2)
+            if self.p[n - 1][n - 1] != q ** 2:
+                raise AssertionError(f"C_{n}: p_{n}{n} != q^2")
+            if self.p[n - 2][n - 1] * self.p[n - 1][n - 2] != q ** (-2):
+                raise AssertionError(f"C_{n}: p_{n-1}{n} p_{n}{n-1} != q^-2")
         if self.series == "D":
-            assert all(self.p[i][i] == q for i in range(n))
-            assert self.p[n - 3][n - 1] * self.p[n - 1][n - 3] == q ** (-1)
-            assert self.p[n - 2][n - 1] * self.p[n - 1][n - 2] == self._one
+            if any(self.p[i][i] != q for i in range(n)):
+                raise AssertionError(f"D_{n}: some p_ii != q")
+            if self.p[n - 3][n - 1] * self.p[n - 1][n - 3] != q ** (-1):
+                raise AssertionError(f"D_{n}: p_{n-2}{n} p_{n}{n-2} != q^-1")
+            if self.p[n - 2][n - 1] * self.p[n - 1][n - 2] != self._one:
+                raise AssertionError(f"D_{n}: p_{n-1}{n} p_{n}{n-1} != 1")
 
     def __repr__(self) -> str:
         return f"QuantumDatum({self.series}_{self.n}, {self.mode})"

@@ -90,8 +90,12 @@ class FreeElem:
     def __pow__(self, e: int) -> "FreeElem":
         if e < 0:
             raise ValueError("free elements have no negative powers")
-        result = FreeElem({(): 1})
-        for _ in range(e):
+        if e == 0:
+            if not self.terms:
+                raise ValueError("0 ** 0 has no ring to take its unit from")
+            return FreeElem({(): next(iter(self.terms.values())) ** 0})
+        result = self
+        for _ in range(e - 1):
             result = result * self
         return result
 

@@ -10,7 +10,9 @@ products follow
 
 and the braided coproduct is deconcatenation over all split points.  The
 map x_i -> (x_i) extends to the evaluation homomorphism from free-algebra
-elements, computed word by word through right letter products.
+elements, computed by grouping words on their last letter so that each
+letter product acts on an already merged sum (``eval_word`` keeps the
+word-by-word reference).
 """
 
 from __future__ import annotations
@@ -20,6 +22,16 @@ from typing import Sequence
 from .coeffring import scalar_is_zero, scalar_str
 from .datum import QuantumDatum
 from .freeword import FreeElem
+
+
+def _add_terms(out: dict, terms: dict) -> None:
+    """Add ``terms`` into ``out`` in place, dropping zero sums."""
+    for z, c in terms.items():
+        cur = out.get(z, 0) + c
+        if scalar_is_zero(cur):
+            out.pop(z, None)
+        else:
+            out[z] = cur
 
 
 class ShuffleElem:
@@ -55,12 +67,7 @@ class ShuffleElem:
 
     def __add__(self, other: "ShuffleElem") -> "ShuffleElem":
         out = dict(self.terms)
-        for z, c in other.terms.items():
-            s = out.get(z, 0) + c
-            if scalar_is_zero(s):
-                out.pop(z, None)
-            else:
-                out[z] = s
+        _add_terms(out, other.terms)
         return ShuffleElem(out)
 
     def __sub__(self, other: "ShuffleElem") -> "ShuffleElem":
@@ -150,12 +157,36 @@ def eval_word(datum: QuantumDatum, word: Sequence[int]) -> ShuffleElem:
     return out
 
 
+def act_free(datum: QuantumDatum, s: ShuffleElem, f: FreeElem) -> ShuffleElem:
+    """The right action s . eval(f), grouping the words of f on their last letter.
+
+    Since eval is a homomorphism, s . eval(sum_w c_w w'x) equals
+    (s . eval(sum_w c_w w'))(x) for each last letter x, and the empty word
+    contributes c s.  The prefixes sharing a (physical) last letter are
+    merged into one canonical sum before the letter product, so terms cancel
+    early instead of after every word is shuffled out on its own.
+    """
+    return _act(datum, s, f.terms)
+
+
+def _act(datum: QuantumDatum, s: ShuffleElem, terms: dict) -> ShuffleElem:
+    out: dict = {}
+    groups: dict = {}
+    for w, c in terms.items():
+        if not w:
+            _add_terms(out, s.scale(c).terms)
+            continue
+        _add_terms(groups.setdefault(datum.physical(w[-1]), {}), {w[:-1]: c})
+    for x, prefixes in groups.items():
+        if prefixes:
+            img = shuffle_letter_mul(datum, "right", _act(datum, s, prefixes), x)
+            _add_terms(out, img.terms)
+    return ShuffleElem(out)
+
+
 def eval_free(datum: QuantumDatum, f: FreeElem) -> ShuffleElem:
     """The evaluation homomorphism x_i -> (x_i), extended linearly."""
-    total = ShuffleElem.zero()
-    for word, coeff in f.terms.items():
-        total = total + eval_word(datum, word).scale(coeff)
-    return total
+    return act_free(datum, ShuffleElem.unit(datum), f)
 
 
 class BraidedTensor:
@@ -178,12 +209,7 @@ class BraidedTensor:
 
     def __add__(self, other: "BraidedTensor") -> "BraidedTensor":
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if scalar_is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
+        _add_terms(out, other.terms)
         return BraidedTensor(out)
 
     def __sub__(self, other: "BraidedTensor") -> "BraidedTensor":

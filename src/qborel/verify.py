@@ -23,10 +23,9 @@ from .coeffring import (NonDivisible, scalar_div_exact, scalar_inverse,
                         scalar_str)
 from .datum import QuantumDatum, make_datum, sigma, sigma_closed_form
 from .freeword import (FreeElem, arrangement_factors, bracket_factors,
-                       free_one, multidegree, recursion_bracketing,
-                       skew_bracket)
+                       multidegree, recursion_bracketing, skew_bracket)
 from .pbwgen import generator_image, pbw_generators, tau_table
-from .shuffle import (BraidedTensor, ShuffleElem, braided_coproduct,
+from .shuffle import (BraidedTensor, ShuffleElem, act_free, braided_coproduct,
                       eval_free, tensor_of, tensor_project_pair)
 
 
@@ -669,18 +668,25 @@ def _modp_first_dependent(rows: list, p: int):
 def pbw_product_rows(datum: QuantumDatum, max_degree: int):
     """Shuffle images of all ordered PBW power products of bounded degree.
 
-    Returns (combos, generator labels, rows) where each row maps
-    comonomials to rational coefficients.
+    Each product's image is its parent's image acted on by one more copy of
+    the last nonzero factor.  Returns (combos, generator labels, rows) where
+    each row maps comonomials to rational coefficients.
     """
     gens = pbw_generators(datum)
     combos = _enumerate_exponents([g.degree for g in gens], max_degree)
+    images = {}
     rows = []
     for combo in combos:
-        elem = free_one(datum)
-        for g, e in zip(gens, combo):
-            if e:
-                elem = elem * g.element ** e
-        rows.append(eval_free(datum, elem).terms)
+        nonzero = [idx for idx, e in enumerate(combo) if e]
+        if not nonzero:
+            img = ShuffleElem.unit(datum)
+        else:
+            # the parent drops one copy of the last factor; lex order lists it first
+            j = nonzero[-1]
+            parent = combo[:j] + (combo[j] - 1,) + combo[j + 1:]
+            img = act_free(datum, images[parent], gens[j].element)
+        images[combo] = img
+        rows.append(img.terms)
     labels = [g.label for g in gens]
     return combos, labels, rows
 

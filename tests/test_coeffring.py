@@ -132,3 +132,9 @@ def test_parse_errors():
 def test_hash_consistency():
     seen = {Q - 1: "a"}
     assert seen[ONE * Q - 1] == "a"
+
+
+def test_constant_hashes_as_its_integer():
+    assert len({LaurentPoly.one(VS), 1}) == 1
+    assert hash(LaurentPoly.integer(VS, -7)) == hash(-7)
+    assert hash(LaurentPoly.zero(VS)) == hash(0)

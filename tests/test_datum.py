@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qborel
 from qborel.coeffring import LaurentPoly
 from qborel.datum import (IndexOutOfRange, InvalidRank,
                           NumericAssignmentHitsExcludedRoot, make_datum, mu,
@@ -186,3 +192,29 @@ def test_word_v_shapes():
     assert [C3.physical(i) for i in C3.word_v(2, 4)] == [2, 3, 2]
     with pytest.raises(IndexOutOfRange):
         C3.word_v(2, 6)
+
+
+def test_relation_checks_survive_python_O():
+    # decouple nodes n-2 and n of D_4 in both the Cartan matrix and p, so
+    # that only the series-D check p_{n-2,n} p_{n,n-2} = q^-1 can object
+    code = textwrap.dedent("""
+        from qborel.datum import QuantumDatum, make_datum
+        d = make_datum("D", 4, "numeric")
+        n = d.n
+        cartan = [list(row) for row in d.cartan]
+        cartan[n - 3][n - 1] = cartan[n - 1][n - 3] = 0
+        p = [list(row) for row in d.p]
+        p[n - 1][n - 3] = 1 / p[n - 3][n - 1]
+        try:
+            QuantumDatum(d.series, n, d.mode, tuple(map(tuple, cartan)), d.d,
+                         d.varset, d.assignment, tuple(map(tuple, p)), d.q)
+        except AssertionError as exc:
+            print("rejected:", exc)
+        else:
+            print("accepted")
+    """)
+    src = os.path.dirname(os.path.dirname(qborel.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "rejected: D_4: p_24 p_42 != q^-1"

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,11 @@ def test_free_algebra_product():
     assert unit * a == a
     assert (a * a) ** 1 == a * a
     assert a ** 0 == unit
+    assert isinstance((a ** 0).terms[()], LaurentPoly)
+    num = make_datum("C", 2, "numeric")
+    assert isinstance((x(num, 1) ** 0).terms[()], Fraction)
+    with pytest.raises(ValueError):
+        FreeElem.zero() ** 0
 
 
 def words(max_letter, max_len=3):

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -6,11 +7,20 @@ from qborel.freeword import FreeElem, skew_bracket
 from qborel.shuffle import (BraidedTensor, ShuffleElem, braided_coproduct,
                             comonomial_degree, eval_free, eval_word,
                             shuffle_letter_mul, tensor_of, tensor_project)
+from qborel.pbwgen import pbw_generators
+from qborel.verify import pbw_product_rows
 
 C2 = make_datum("C", 2)
 C3 = make_datum("C", 3)
 C4 = make_datum("C", 4)
+D3 = make_datum("D", 3)
 D4 = make_datum("D", 4)
+
+ORACLE_DATA = {
+    f"{series}{n}-{mode}": make_datum(series, n, mode)
+    for series, n in (("A", 3), ("C", 2), ("C", 3), ("D", 3))
+    for mode in ("multiparameter", "numeric")
+}
 
 
 def mono(datum, letters, coeff=None):
@@ -153,3 +163,45 @@ def test_tensor_of_outer_product():
     got = tensor_of(l, r)
     assert got.terms[((1,), (2,))] == C2.one()
     assert got.terms[((2,), (2,))] == C2.q_power(1)
+
+
+def eval_by_words(datum, f):
+    """The word-by-word reference: sum of eval_word(w) * c over f."""
+    total = ShuffleElem.zero()
+    for w, c in f.terms.items():
+        total = total + eval_word(datum, w).scale(c)
+    return total
+
+
+@given(st.sampled_from(sorted(ORACLE_DATA)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_eval_free_matches_word_by_word(name, data):
+    datum = ORACLE_DATA[name]
+    top = datum.max_letter
+    entries = data.draw(st.lists(
+        st.tuples(st.lists(st.integers(1, top), max_size=5),
+                  st.integers(-3, 3), st.integers(-2, 2), st.booleans()),
+        max_size=8))
+    f = FreeElem.zero()
+    for word, c, e, twin in entries:
+        coeff = datum.integer(c) * datum.q_power(e)
+        f = f + FreeElem.word(word, coeff)
+        if twin:
+            # the same word with its letters folded (series A: unchanged) and
+            # the opposite sign cancels in the image
+            folded = tuple(i if datum.series == "A" else 2 * datum.n - i
+                           for i in word)
+            f = f - FreeElem.word(folded, coeff)
+    assert eval_free(datum, f) == eval_by_words(datum, f)
+
+
+@pytest.mark.parametrize("d", [C2, D3], ids=lambda d: f"{d.series}{d.n}")
+def test_pbw_rows_match_expansion(d):
+    gens = pbw_generators(d)
+    combos, _, rows = pbw_product_rows(d, 4)
+    for combo, row in zip(combos, rows):
+        elem = FreeElem({(): d.one()})
+        for g, e in zip(gens, combo):
+            if e:
+                elem = elem * g.element ** e
+        assert row == eval_by_words(d, elem).terms, combo
