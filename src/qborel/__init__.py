@@ -7,19 +7,17 @@ from .coeffring import (LaurentPoly, VarSet, NonDivisible, DivisionByZero,
 from .datum import (IndexOutOfRange, InvalidRank,
                     NumericAssignmentHitsExcludedRoot, QuantumDatum,
                     make_datum, mu, sigma, sigma_closed_form)
-from .freeword import (FreeElem, NonHomogeneousOperand, make_word,
-                       pbw_bracketing, bracketing_variant, qq_bracket,
-                       skew_bracket)
+from .freeword import (FreeElem, NonHomogeneousOperand, pbw_bracketing,
+                       qq_bracket, skew_bracket)
 from .shuffle import (BraidedTensor, ShuffleElem, braided_coproduct,
-                      eval_free, shuffle_letter_mul, tensor_project)
-from .pbwgen import (PBWGenerator, StructureConstants, alpha,
-                     closed_form_image, generator_image, pbw_generators,
-                     structure_constants, tau_table)
-from .verify import (CoproductFormula, DegenerateEvaluationPoint,
-                     NonProportionalProjection, VerificationReport,
-                     coproduct_formula, run_suites, verify_an_no_exceptions,
-                     verify_arrangements, verify_coproducts,
-                     verify_identity_suite, verify_pbw_independence,
-                     verify_serre, verify_sigma_closed_form)
+                      eval_free, shuffle_letter_mul)
+from .pbwgen import (PBWGenerator, alpha, closed_form_image, generator_image,
+                     pbw_generators, tau_table)
+from .verify import (CoproductFormula, NonProportionalProjection,
+                     VerificationReport, coproduct_formula, run_suites,
+                     verify_an_no_exceptions, verify_arrangements,
+                     verify_coproducts, verify_identity_suite,
+                     verify_pbw_independence, verify_serre,
+                     verify_sigma_closed_form)
 
 __version__ = "0.1.0"

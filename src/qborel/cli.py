@@ -178,8 +178,6 @@ def _cmd_eval(args) -> int:
     tree = parse_expr(args.expr)
     elem = bind_expr(datum, tree)
     image = eval_free(datum, elem)
-    from .coeffring import scalar_str
-
     doc = {
         "command": "eval",
         "series": args.series,
@@ -187,7 +185,7 @@ def _cmd_eval(args) -> int:
         "expr": args.expr,
         "result": str(image),
         "terms": [
-            {"comonomial": [f"x{i}" for i in z], "coefficient": scalar_str(c)}
+            {"comonomial": [f"x{i}" for i in z], "coefficient": str(c)}
             for z, c in image.sorted_terms()
         ],
     }

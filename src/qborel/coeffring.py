@@ -1,11 +1,15 @@
-"""Exact sparse arithmetic in the Laurent ring Z[q^{+-1}, t_ij^{+-1}].
+"""Exact sparse arithmetic in the Laurent ring Z[q^{+-1}, t_ij^{+-1}],
+and the sparse linear combinations built over it.
 
 Every scalar of the package lives in this commutative ring: ``q`` is the
 quantization parameter and the ``t_ij`` (one for each pair 1 <= i < j <= n)
 are the free multiparameters of the bicharacter table.  Coefficients are
-arbitrary-precision integers; rationals appear only when a polynomial is
-evaluated at a rational point.  All values are immutable after construction
-and all operations are pure, so they can be shared freely between workers.
+arbitrary-precision integers; rationals appear only when a datum is
+specialized at a rational point, and then the scalars are ``Fraction``s.
+Both kinds share Python's number protocol (``+ - * / **``, ``not c``,
+``str(c)``), with exact division, so the algebra layers never ask which
+kind they hold.  All values are immutable after construction and all
+operations are pure, so they can be shared freely.
 """
 
 from __future__ import annotations
@@ -327,6 +331,10 @@ class LaurentPoly:
             out[tuple(map(sum, zip(e, shift)))] = int(f)
         return LaurentPoly(self.vs, out)
 
+    def __truediv__(self, other) -> "LaurentPoly":
+        """Exact quotient, like Fraction division; NonDivisible if none exists."""
+        return self.div_exact(other)
+
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, "Fraction | int"]) -> Fraction:
@@ -533,40 +541,63 @@ class _PolyParser:
         return int(self.text[start:self.pos])
 
 
-# -- scalar dispatch helpers -------------------------------------------------
-#
-# The algebra layers run over either symbolic coefficients (LaurentPoly) or
-# rational ones (Fraction, numeric specialization).  These helpers are the
-# few places where the two domains need different treatment.
+# -- sparse linear combinations ---------------------------------------------
 
-def scalar_inverse(c):
-    if isinstance(c, LaurentPoly):
-        return c.inverse()
-    if c == 0:
-        raise DivisionByZero("division by zero scalar")
-    return Fraction(1) / Fraction(c)
+def add_terms(out: dict, terms: dict) -> None:
+    """Add ``terms`` into ``out`` in place, dropping zero sums."""
+    for k, c in terms.items():
+        cur = out.get(k, 0) + c
+        if cur:
+            out[k] = cur
+        else:
+            out.pop(k, None)
 
 
-def scalar_div_exact(a, b):
-    if isinstance(a, LaurentPoly):
-        return a.div_exact(b)
-    if isinstance(b, LaurentPoly):
-        if isinstance(a, int):
-            return LaurentPoly.integer(b.vs, a).div_exact(b)
-        raise NonDivisible(f"rational {a} is not a polynomial multiple of {b}")
-    if b == 0:
-        raise DivisionByZero("division by zero scalar")
-    return Fraction(a) / Fraction(b)
+class LinComb:
+    """Canonical sparse sum: basis key -> nonzero scalar.
 
+    The scalars are those of one datum, ``LaurentPoly`` or ``Fraction``;
+    only the number protocol is used on them.  Free-algebra elements,
+    shuffle elements and braided tensors are subclasses, and elements of
+    different subclasses never compare equal.
+    """
 
-def scalar_is_zero(c) -> bool:
-    if isinstance(c, LaurentPoly):
-        return c.is_zero()
-    return c == 0
+    __slots__ = ("terms",)
 
+    def __init__(self, terms: dict):
+        self.terms = {k: c for k, c in terms.items() if c}
 
-def scalar_str(c) -> str:
-    if isinstance(c, LaurentPoly):
-        return str(c)
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    @classmethod
+    def zero(cls):
+        return cls({})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        add_terms(out, other.terms)
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        if not c:
+            return type(self).zero()
+        return type(self)({k: c * ck for k, ck in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self}>"

@@ -96,18 +96,15 @@ class QuantumDatum:
         self.assignment = assignment
         self.p = p
         self.q = q
-        self._p_inv = tuple(
-            tuple(_inv(x) for x in row) for row in p
-        )
-        if mode == "numeric":
-            self._one = Fraction(1)
-            self._zero = Fraction(0)
-        else:
-            self._one = LaurentPoly.one(varset)
-            self._zero = LaurentPoly.zero(varset)
+        self._p_inv = tuple(tuple(x ** -1 for x in row) for row in p)
+        self._one = q ** 0
+        self._zero = q * 0
         self._verify_relations()
 
     # -- scalars -----------------------------------------------------------
+    #
+    # Every scalar derives from q, so a datum works the same over Laurent
+    # polynomials and over their rational specialization.
 
     def one(self):
         return self._one
@@ -116,14 +113,10 @@ class QuantumDatum:
         return self._zero
 
     def integer(self, c: int):
-        if self.mode == "numeric":
-            return Fraction(c)
-        return LaurentPoly.integer(self.varset, c)
+        return self._one * c
 
     def q_power(self, exp: int):
-        if self.mode == "numeric":
-            return self.q ** exp
-        return LaurentPoly.q(self.varset, exp)
+        return self.q ** exp
 
     # -- the folded alphabet -------------------------------------------------
 
@@ -263,12 +256,6 @@ class QuantumDatum:
 
     def __repr__(self) -> str:
         return f"QuantumDatum({self.series}_{self.n}, {self.mode})"
-
-
-def _inv(x):
-    if isinstance(x, LaurentPoly):
-        return x.inverse()
-    return Fraction(1) / x
 
 
 def make_datum(series: str, n: int, mode: str = "multiparameter",

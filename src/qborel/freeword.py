@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .coeffring import scalar_is_zero, scalar_str
+from .coeffring import LinComb
 from .datum import IndexOutOfRange, QuantumDatum
 
 Word = tuple  # tuple of extended letter indices
@@ -26,17 +26,10 @@ class NonHomogeneousOperand(ValueError):
     """Raised when a bracket operand mixes multidegrees."""
 
 
-class FreeElem:
+class FreeElem(LinComb):
     """Linear combination of words with scalar coefficients, canonical form."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = {w: c for w, c in terms.items() if not scalar_is_zero(c)}
-
-    @classmethod
-    def zero(cls) -> "FreeElem":
-        return cls({})
+    __slots__ = ()
 
     @classmethod
     def letter(cls, datum: QuantumDatum, i: int, coeff=None) -> "FreeElem":
@@ -47,33 +40,6 @@ class FreeElem:
     def word(cls, w: Sequence[int], coeff) -> "FreeElem":
         return cls({tuple(w): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "FreeElem") -> "FreeElem":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if scalar_is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return FreeElem(out)
-
-    def __sub__(self, other: "FreeElem") -> "FreeElem":
-        return self + (-other)
-
-    def __neg__(self) -> "FreeElem":
-        return FreeElem({w: -c for w, c in self.terms.items()})
-
-    def scale(self, c) -> "FreeElem":
-        if scalar_is_zero(c):
-            return FreeElem.zero()
-        return FreeElem({w: c * cw for w, cw in self.terms.items()})
-
     def __mul__(self, other: "FreeElem") -> "FreeElem":
         """Concatenation product, extended bilinearly."""
         out: dict = {}
@@ -81,10 +47,10 @@ class FreeElem:
             for wb, cb in other.terms.items():
                 w = wa + wb
                 s = out.get(w, 0) + ca * cb
-                if scalar_is_zero(s):
-                    out.pop(w, None)
-                else:
+                if s:
                     out[w] = s
+                else:
+                    out.pop(w, None)
         return FreeElem(out)
 
     def __pow__(self, e: int) -> "FreeElem":
@@ -99,24 +65,14 @@ class FreeElem:
             result = result * self
         return result
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreeElem) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
+    def __str__(self) -> str:
         if not self.terms:
-            return "<FreeElem 0>"
+            return "0"
         bits = []
         for w, c in sorted(self.terms.items()):
             word = "*".join(f"x{i}" for i in w) or "1"
-            bits.append(f"({scalar_str(c)})*{word}")
-        return "<FreeElem " + " + ".join(bits) + ">"
-
-
-def free_one(datum: QuantumDatum) -> FreeElem:
-    return FreeElem({(): datum.one()})
+            bits.append(f"({c})*{word}")
+        return " + ".join(bits)
 
 
 def multidegree(datum: QuantumDatum, f: FreeElem) -> tuple | None:
@@ -129,14 +85,6 @@ def multidegree(datum: QuantumDatum, f: FreeElem) -> tuple | None:
         elif d != deg:
             raise NonHomogeneousOperand(f"mixed multidegrees {deg} and {d}")
     return deg
-
-
-def is_homogeneous(datum: QuantumDatum, f: FreeElem) -> bool:
-    try:
-        multidegree(datum, f)
-        return True
-    except NonHomogeneousOperand:
-        return False
 
 
 def skew_bracket(datum: QuantumDatum, u: FreeElem, v: FreeElem) -> FreeElem:
@@ -156,36 +104,6 @@ def qq_bracket(datum: QuantumDatum, u: FreeElem, v: FreeElem) -> FreeElem:
         return FreeElem.zero()
     coeff = datum.q_power(-1) * datum.p_deg(du, dv)
     return u * v - (v * u).scale(coeff)
-
-
-def make_word(datum: QuantumDatum, kind: str, k: int, m: int,
-              direction: str = "ascending") -> Word:
-    """The distinguished word of the given kind on the interval (k, m).
-
-    kind 'v' (series A, C): x_k x_{k+1} ... x_m.  kind 'e' and 'e_prime'
-    (series D): the chain word skipping the reflected letter, and its
-    variant with x_n x_{n+1} replaced by x_{n-1} x_n.  'descending'
-    returns the opposite word.
-    """
-    if kind == "v":
-        if datum.series == "D":
-            raise ValueError("kind 'v' needs series A or C")
-        w = datum.word_v(k, m)
-    elif kind == "e":
-        if datum.series != "D":
-            raise ValueError("kind 'e' needs series D")
-        w = datum.word_e(k, m)
-    elif kind == "e_prime":
-        if datum.series != "D":
-            raise ValueError("kind 'e_prime' needs series D")
-        w = datum.word_e_prime(k, m)
-    else:
-        raise ValueError(f"unknown word kind {kind!r}")
-    if direction == "descending":
-        return tuple(reversed(w))
-    if direction != "ascending":
-        raise ValueError(f"unknown direction {direction!r}")
-    return w
 
 
 def left_nested(datum: QuantumDatum, factors: Sequence[FreeElem]) -> FreeElem:
@@ -212,17 +130,6 @@ def bracket_factors(datum: QuantumDatum, factors: Sequence[FreeElem],
     return skew_bracket(datum,
                         left_nested(datum, factors[:split]),
                         left_nested(datum, factors[split:]))
-
-
-def all_bracketings(datum: QuantumDatum, factors: Sequence[FreeElem]):
-    """Every full binary bracketing of the factor sequence."""
-    if len(factors) == 1:
-        yield factors[0]
-        return
-    for s in range(1, len(factors)):
-        for lhs in all_bracketings(datum, factors[:s]):
-            for rhs in all_bracketings(datum, factors[s:]):
-                yield skew_bracket(datum, lhs, rhs)
 
 
 def _letters(datum: QuantumDatum, word: Word) -> list:
@@ -297,22 +204,6 @@ def recursion_bracketing(datum: QuantumDatum, k: int, m: int) -> FreeElem:
                         FreeElem.letter(datum, m))
 
 
-def bracketing_variant(datum: QuantumDatum, k: int, m: int,
-                       split: int | None = None,
-                       recursion: bool = False) -> FreeElem:
-    """A re-arranged bracketing of the same word, for cross-checks.
-
-    Either the designated factor sequence split at ``split`` or, with
-    ``recursion=True``, the recurrence form.  Values agree with
-    pbw_bracketing in the shuffle image, not as free elements.
-    """
-    if recursion:
-        return recursion_bracketing(datum, k, m)
-    if split is None:
-        raise ValueError("need a split point or recursion=True")
-    return bracket_factors(datum, arrangement_factors(datum, k, m), split)
-
-
 def word_greater(u: Word, v: Word) -> bool:
     """u > v in the left-priority lexicographic order with x_1 > x_2 > ...
 
@@ -322,21 +213,3 @@ def word_greater(u: Word, v: Word) -> bool:
         if a != b:
             return a < b
     return len(u) < len(v) and len(u) > 0
-
-
-def word_sort_key(w: Word):
-    """Sort key giving ascending order (smallest word first)."""
-    return _WordKey(w)
-
-
-class _WordKey:
-    __slots__ = ("w",)
-
-    def __init__(self, w: Word):
-        self.w = w
-
-    def __lt__(self, other: "_WordKey") -> bool:
-        return word_greater(other.w, self.w)
-
-    def __eq__(self, other) -> bool:
-        return self.w == other.w

@@ -198,7 +198,6 @@ class PBWGenerator:
 def pbw_intervals(datum: QuantumDatum) -> list:
     """The (k, m) intervals of the PBW family, in no particular order."""
     n = datum.n
-    out = []
     if datum.series == "A":
         return [(k, m) for k in range(1, n + 1) for m in range(k, n + 1)]
     if datum.series == "C":
@@ -228,16 +227,3 @@ def pbw_generators(datum: QuantumDatum) -> list:
 
     return sorted(gens, key=cmp_to_key(cmp))
 
-
-@dataclass(frozen=True)
-class StructureConstants:
-    """alpha, the exceptional epsilon factor, and the tau table of (k, m)."""
-
-    alpha: object
-    epsilon: object
-    tau: dict
-
-
-def structure_constants(datum: QuantumDatum, k: int, m: int) -> StructureConstants:
-    return StructureConstants(alpha(datum, k, m), epsilon(datum, k, m),
-                              tau_table(datum, k, m))

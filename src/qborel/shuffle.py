@@ -19,32 +19,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .coeffring import scalar_is_zero, scalar_str
+from .coeffring import LinComb, add_terms
 from .datum import QuantumDatum
 from .freeword import FreeElem
 
 
-def _add_terms(out: dict, terms: dict) -> None:
-    """Add ``terms`` into ``out`` in place, dropping zero sums."""
-    for z, c in terms.items():
-        cur = out.get(z, 0) + c
-        if scalar_is_zero(cur):
-            out.pop(z, None)
-        else:
-            out[z] = cur
-
-
-class ShuffleElem:
+class ShuffleElem(LinComb):
     """Linear combination of comonomials, canonical (no zero coefficients)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = {z: c for z, c in terms.items() if not scalar_is_zero(c)}
-
-    @classmethod
-    def zero(cls) -> "ShuffleElem":
-        return cls({})
+    __slots__ = ()
 
     @classmethod
     def unit(cls, datum: QuantumDatum) -> "ShuffleElem":
@@ -59,34 +42,6 @@ class ShuffleElem:
         key = tuple(datum.physical(i) for i in letters)
         return cls({key: datum.one() if coeff is None else coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "ShuffleElem") -> "ShuffleElem":
-        out = dict(self.terms)
-        _add_terms(out, other.terms)
-        return ShuffleElem(out)
-
-    def __sub__(self, other: "ShuffleElem") -> "ShuffleElem":
-        return self + (-other)
-
-    def __neg__(self) -> "ShuffleElem":
-        return ShuffleElem({z: -c for z, c in self.terms.items()})
-
-    def scale(self, c) -> "ShuffleElem":
-        if scalar_is_zero(c):
-            return ShuffleElem.zero()
-        return ShuffleElem({z: c * cz for z, cz in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ShuffleElem) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda it: (len(it[0]), it[0]))
 
@@ -95,15 +50,12 @@ class ShuffleElem:
             return "0"
         bits = []
         for z, c in self.sorted_terms():
-            cs = scalar_str(c)
+            cs = str(c)
             if " + " in cs or " - " in cs:
                 cs = f"({cs})"
             mono = "(" + " ".join(f"x{i}" for i in z) + ")" if z else "(1)"
             bits.append(f"{cs} * {mono}")
         return " + ".join(bits)
-
-    def __repr__(self) -> str:
-        return f"<ShuffleElem {self}>"
 
 
 def comonomial_degree(z: tuple, n: int) -> tuple:
@@ -126,10 +78,10 @@ def shuffle_letter_mul(datum: QuantumDatum, side: str, w: ShuffleElem,
             for s in range(len(z), -1, -1):
                 key = z[:s] + (phys,) + z[s:]
                 cur = out.get(key, 0) + acc
-                if scalar_is_zero(cur):
-                    out.pop(key, None)
-                else:
+                if cur:
                     out[key] = cur
+                else:
+                    out.pop(key, None)
                 if s:
                     acc = acc * row_inv[z[s - 1] - 1]
     elif side == "left":
@@ -138,10 +90,10 @@ def shuffle_letter_mul(datum: QuantumDatum, side: str, w: ShuffleElem,
             for s in range(len(z) + 1):
                 key = z[:s] + (phys,) + z[s:]
                 cur = out.get(key, 0) + acc
-                if scalar_is_zero(cur):
-                    out.pop(key, None)
-                else:
+                if cur:
                     out[key] = cur
+                else:
+                    out.pop(key, None)
                 if s < len(z):
                     acc = acc * col[z[s] - 1]
     else:
@@ -174,13 +126,13 @@ def _act(datum: QuantumDatum, s: ShuffleElem, terms: dict) -> ShuffleElem:
     groups: dict = {}
     for w, c in terms.items():
         if not w:
-            _add_terms(out, s.scale(c).terms)
+            add_terms(out, s.scale(c).terms)
             continue
-        _add_terms(groups.setdefault(datum.physical(w[-1]), {}), {w[:-1]: c})
+        add_terms(groups.setdefault(datum.physical(w[-1]), {}), {w[:-1]: c})
     for x, prefixes in groups.items():
         if prefixes:
             img = shuffle_letter_mul(datum, "right", _act(datum, s, prefixes), x)
-            _add_terms(out, img.terms)
+            add_terms(out, img.terms)
     return ShuffleElem(out)
 
 
@@ -189,42 +141,10 @@ def eval_free(datum: QuantumDatum, f: FreeElem) -> ShuffleElem:
     return act_free(datum, ShuffleElem.unit(datum), f)
 
 
-class BraidedTensor:
+class BraidedTensor(LinComb):
     """Canonical sum of (left comonomial, right comonomial) -> coefficient."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = {k: c for k, c in terms.items() if not scalar_is_zero(c)}
-
-    @classmethod
-    def zero(cls) -> "BraidedTensor":
-        return cls({})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "BraidedTensor") -> "BraidedTensor":
-        out = dict(self.terms)
-        _add_terms(out, other.terms)
-        return BraidedTensor(out)
-
-    def __sub__(self, other: "BraidedTensor") -> "BraidedTensor":
-        return self + other.scale_int(-1)
-
-    def scale(self, c) -> "BraidedTensor":
-        if scalar_is_zero(c):
-            return BraidedTensor.zero()
-        return BraidedTensor({k: c * ck for k, ck in self.terms.items()})
-
-    def scale_int(self, c: int) -> "BraidedTensor":
-        return BraidedTensor({k: c * ck for k, ck in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BraidedTensor) and self.terms == other.terms
+    __slots__ = ()
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -235,16 +155,13 @@ class BraidedTensor:
             return "0"
         bits = []
         for (l, r), c in self.sorted_terms():
-            cs = scalar_str(c)
+            cs = str(c)
             if " + " in cs or " - " in cs:
                 cs = f"({cs})"
             lm = "(" + " ".join(f"x{i}" for i in l) + ")" if l else "(1)"
             rm = "(" + " ".join(f"x{i}" for i in r) + ")" if r else "(1)"
             bits.append(f"{cs} * {lm}(x){rm}")
         return " + ".join(bits)
-
-    def __repr__(self) -> str:
-        return f"<BraidedTensor {self}>"
 
 
 def braided_coproduct(s: ShuffleElem, reduced: bool = False) -> BraidedTensor:
@@ -253,16 +170,9 @@ def braided_coproduct(s: ShuffleElem, reduced: bool = False) -> BraidedTensor:
     With ``reduced`` the two extreme splits u (x) 1 and 1 (x) u are dropped.
     """
     out: dict = {}
+    drop = 1 if reduced else 0
     for z, c in s.terms.items():
-        lo = 1 if reduced else 0
-        hi = len(z) - 1 if reduced else len(z)
-        for i in range(lo, hi + 1):
-            key = (z[:i], z[i:])
-            cur = out.get(key, 0) + c
-            if scalar_is_zero(cur):
-                out.pop(key, None)
-            else:
-                out[key] = cur
+        add_terms(out, {(z[:i], z[i:]): c for i in range(drop, len(z) - drop + 1)})
     return BraidedTensor(out)
 
 
@@ -273,16 +183,6 @@ def tensor_of(left: ShuffleElem, right: ShuffleElem) -> BraidedTensor:
         for zr, cr in right.terms.items():
             out[(zl, zr)] = cl * cr
     return BraidedTensor(out)
-
-
-def tensor_project(t: BraidedTensor, right_deg: Sequence[int]) -> BraidedTensor:
-    """Sub-sum of terms whose right component has the given multidegree."""
-    n = len(right_deg)
-    want = tuple(right_deg)
-    return BraidedTensor({
-        k: c for k, c in t.terms.items()
-        if comonomial_degree(k[1], n) == want
-    })
 
 
 def tensor_project_pair(t: BraidedTensor, left_deg: Sequence[int],

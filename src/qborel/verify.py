@@ -13,18 +13,15 @@ never taken as a falsification).
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .coeffring import (NonDivisible, scalar_div_exact, scalar_inverse,
-                        scalar_str)
+from .coeffring import NonDivisible
 from .datum import QuantumDatum, make_datum, sigma, sigma_closed_form
 from .freeword import (FreeElem, arrangement_factors, bracket_factors,
                        multidegree, recursion_bracketing, skew_bracket)
-from .pbwgen import generator_image, pbw_generators, tau_table
+from .pbwgen import generator_image, pbw_generators, pbw_intervals, tau_table
 from .shuffle import (BraidedTensor, ShuffleElem, act_free, braided_coproduct,
                       eval_free, tensor_of, tensor_project_pair)
 
@@ -32,10 +29,6 @@ from .shuffle import (BraidedTensor, ShuffleElem, act_free, braided_coproduct,
 class NonProportionalProjection(ArithmeticError):
     """A projected coproduct component is not a scalar multiple of the
     expected generator tensor; the theorem under test is falsified."""
-
-
-class DegenerateEvaluationPoint(ArithmeticError):
-    """Rank deficiency at every retried evaluation point."""
 
 
 # ---------------------------------------------------------------------------
@@ -84,30 +77,13 @@ def _timed(suite: str, cases: list, t0: float) -> VerificationReport:
     return VerificationReport(suite, cases, time.monotonic() - t0)
 
 
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("QBOREL_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_cases(fn, items) -> list:
-    w = worker_count()
-    if w > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _first_diff(a: dict, b: dict, render) -> str:
     for key in sorted(set(a) | set(b), key=repr):
         ca, cb = a.get(key), b.get(key)
         if ca != cb:
             return (f"at {render(key)}: "
-                    f"{scalar_str(ca) if ca is not None else '(absent)'} != "
-                    f"{scalar_str(cb) if cb is not None else '(absent)'}")
+                    f"{ca if ca is not None else '(absent)'} != "
+                    f"{cb if cb is not None else '(absent)'}")
     return "no difference"
 
 
@@ -140,13 +116,13 @@ def verify_sigma_closed_form(datum: QuantumDatum) -> VerificationReport:
                 ok = got == datum.q_power(1)
                 cases.append(CaseResult(
                     f"sigma({k},{m}) [exempt: definitional value q]", ok,
-                    None if ok else f"got {scalar_str(got)}"))
+                    None if ok else f"got {got}"))
                 continue
             want = sigma_closed_form(datum, k, m)
             ok = got == want
             cases.append(CaseResult(
                 f"sigma({k},{m})", ok,
-                None if ok else f"{scalar_str(got)} != {scalar_str(want)}"))
+                None if ok else f"{got} != {want}"))
     return _timed("sigma-closed-form", cases, t0)
 
 
@@ -190,13 +166,12 @@ def verify_serre(datum: QuantumDatum) -> VerificationReport:
     """Shuffle images of all defining relations vanish exactly."""
     t0 = time.monotonic()
 
-    def check(item):
-        name, elem = item
+    def check(name, elem):
         img = eval_free(datum, elem)
         ok = img.is_zero()
         return CaseResult(name, ok, None if ok else f"image {img}")
 
-    cases = _map_cases(check, serre_relations(datum))
+    cases = [check(name, elem) for name, elem in serre_relations(datum)]
     return _timed("serre", cases, t0)
 
 
@@ -302,11 +277,11 @@ class CoproductFormula:
             "terms": [
                 {
                     "i": t.i,
-                    "tau": scalar_str(t.tau),
+                    "tau": str(t.tau),
                     "grouplike": list(t.grouplike),
                     "left": t.left,
                     "right": t.right,
-                    "coefficient": scalar_str(t.unbraided_coefficient),
+                    "coefficient": str(t.unbraided_coefficient),
                 }
                 for t in self.terms
             ],
@@ -320,17 +295,9 @@ class CoproductFormula:
         for t in self.terms:
             lines.append(
                 f"  + tau_{t.i} (1-q^-1) g_k{t.i} {t.left} (x) {t.right}"
-                f"   tau_{t.i} = {scalar_str(t.tau)}"
+                f"   tau_{t.i} = {t.tau}"
                 f"   grouplike deg {list(t.grouplike)}")
         return lines
-
-
-def _in_pbw_set(datum: QuantumDatum, k: int, m: int) -> bool:
-    if datum.series == "A":
-        return True
-    if datum.series == "C":
-        return m <= datum.phi(k)
-    return m < datum.phi(k)
 
 
 def coproduct_formula(datum: QuantumDatum, k: int, m: int,
@@ -377,16 +344,16 @@ def coproduct_formula(datum: QuantumDatum, k: int, m: int,
                     raise NonProportionalProjection(
                         f"({k},{m}) i={i}: expected tensor pair missing "
                         f"from the projection")
-                gamma = scalar_div_exact(cact, cexp)
+                gamma = cact / cexp
                 if proj != expected.scale(gamma):
                     raise NonProportionalProjection(
                         f"({k},{m}) i={i}: projection is not proportional "
                         f"to the generator tensor: "
                         + _tensor_witness(proj, expected.scale(gamma)))
-                tau = scalar_div_exact(gamma * p_lr, qfac)
+                tau = gamma * p_lr / qfac
         else:
             tau = taus[i]
-            gamma = tau * qfac * scalar_inverse(p_lr)
+            gamma = tau * qfac / p_lr
             want = expected.scale(gamma)
             if proj != want:
                 raise NonProportionalProjection(
@@ -399,7 +366,7 @@ def coproduct_formula(datum: QuantumDatum, k: int, m: int,
             f"({k},{m}): terms do not exhaust the braided coproduct: "
             + _tensor_witness(covered, actual))
     return CoproductFormula(datum.series, datum.n, k, m, mode, terms, actual,
-                            _in_pbw_set(datum, k, m))
+                            (k, m) in pbw_intervals(datum))
 
 
 def verify_coproducts(datum: QuantumDatum) -> VerificationReport:
@@ -408,11 +375,10 @@ def verify_coproducts(datum: QuantumDatum) -> VerificationReport:
     t0 = time.monotonic()
     top = datum.max_letter
     sym = "e" if datum.series == "D" else "v"
-    pairs = [(k, m) for k in range(1, top + 1) for m in range(k, top + 1)]
+    pbw_set = set(pbw_intervals(datum))
 
-    def check(pair):
-        k, m = pair
-        tag = "" if _in_pbw_set(datum, k, m) else " (outside PBW set)"
+    def check(k, m):
+        tag = "" if (k, m) in pbw_set else " (outside PBW set)"
         try:
             coproduct_formula(datum, k, m, mode="assert")
             found = coproduct_formula(datum, k, m, mode="discover")
@@ -425,7 +391,7 @@ def verify_coproducts(datum: QuantumDatum) -> VerificationReport:
             return CaseResult(f"coproduct {sym}[{k},{m}]{tag}", False, witness)
         return CaseResult(f"coproduct {sym}[{k},{m}]{tag}", True)
 
-    cases = _map_cases(check, pairs)
+    cases = [check(k, m) for k in range(1, top + 1) for m in range(k, top + 1)]
     return _timed("coproduct", cases, t0)
 
 
@@ -531,7 +497,7 @@ def verify_identity_suite(datum: QuantumDatum, seed: int = 0,
         u = _random_homogeneous(datum, rng)
         v = _random_homogeneous(datum, rng)
         w = _random_homogeneous(datum, rng)
-        p_wv_inv = scalar_inverse(_p_of(datum, w, v))
+        p_wv_inv = _p_of(datum, w, v) ** -1
         p_vw = _p_of(datum, v, w)
         lhs = skew_bracket(datum, skew_bracket(datum, u, v), w)
         rhs = (skew_bracket(datum, u, skew_bracket(datum, v, w))
@@ -641,28 +607,32 @@ def _enumerate_exponents(degrees: list, budget: int):
 
 
 def _modp_first_dependent(rows: list, p: int):
-    """Incremental row reduction mod p; returns (rank, first dependent row)."""
-    import numpy as np
+    """Incremental row reduction mod p; returns (rank, first dependent row).
 
-    if not rows:
-        return 0, None
-    cols = len(rows[0])
-    pivots = []  # (column, normalized numpy row)
-    rank = 0
+    Each row is a sparse {column: residue} dict.  Every pivot row is
+    normalized and keyed by its smallest column, so eliminating a row's
+    smallest column creates only larger ones.
+    """
+    pivots: dict = {}  # smallest column -> normalized row
     for idx, row in enumerate(rows):
-        r = np.array(row, dtype=np.int64) % p
-        for col, pv in pivots:
-            f = int(r[col])
-            if f:
-                r = (r - f * pv) % p
-        nz = np.nonzero(r)[0]
-        if nz.size == 0:
-            return rank, idx
-        col = int(nz[0])
-        inv = pow(int(r[col]), p - 2, p)
-        pivots.append((col, (r * inv) % p))
-        rank += 1
-    return rank, None
+        r = {col: v % p for col, v in row.items() if v % p}
+        while r:
+            col = min(r)
+            pivot = pivots.get(col)
+            if pivot is None:
+                break
+            f = r[col]
+            for c, v in pivot.items():
+                s = (r.get(c, 0) - f * v) % p
+                if s:
+                    r[c] = s
+                else:
+                    r.pop(c, None)
+        if not r:
+            return idx, idx
+        inv = pow(r[col], p - 2, p)
+        pivots[col] = {c: v * inv % p for c, v in r.items()}
+    return len(rows), None
 
 
 def pbw_product_rows(datum: QuantumDatum, max_degree: int):
@@ -717,14 +687,10 @@ def verify_pbw_independence(datum: QuantumDatum, max_degree: int,
                          key=lambda z: (len(z), z))
         col_index = {z: idx for idx, z in enumerate(columns)}
         p = _RANK_PRIMES[attempt % len(_RANK_PRIMES)]
-        int_rows = []
-        for row in rows:
-            vec = [0] * len(columns)
-            for z, c in row.items():
-                c = Fraction(c)
-                vec[col_index[z]] = (c.numerator * pow(c.denominator, p - 2, p)) % p
-            int_rows.append(vec)
-        rank, dep = _modp_first_dependent(int_rows, p)
+        # the point is numeric, so every coefficient is a Fraction
+        residue_rows = [{col_index[z]: c.numerator * pow(c.denominator, p - 2, p)
+                         for z, c in row.items()} for row in rows]
+        rank, dep = _modp_first_dependent(residue_rows, p)
         name = (f"rank at seed {at_seed}: {rank}/{len(rows)} products, "
                 f"{len(columns)} comonomials, degree <= {max_degree}")
         if dep is None:

@@ -57,16 +57,18 @@ def test_ring_axioms(a, b, c):
 
 
 def test_div_exact_examples():
-    assert (Q ** 2 - 1).div_exact(Q - 1) == Q + 1
-    assert (Q * T).div_exact(T) == Q
-    with pytest.raises(NonDivisible):
-        (Q + 1).div_exact(Q - 1)
-    with pytest.raises(DivisionByZero):
-        Q.div_exact(LaurentPoly.zero(VS))
-    # integer-coefficient divisibility is part of the contract
-    with pytest.raises(NonDivisible):
-        (Q + 1).div_exact(LaurentPoly.integer(VS, 2))
-    assert (2 * Q).div_exact(2) == Q
+    # "/" is div_exact, with the same exceptions
+    for div in (LaurentPoly.div_exact, lambda a, b: a / b):
+        assert div(Q ** 2 - 1, Q - 1) == Q + 1
+        assert div(Q * T, T) == Q
+        with pytest.raises(NonDivisible):
+            div(Q + 1, Q - 1)
+        with pytest.raises(DivisionByZero):
+            div(Q, LaurentPoly.zero(VS))
+        # integer-coefficient divisibility is part of the contract
+        with pytest.raises(NonDivisible):
+            div(Q + 1, LaurentPoly.integer(VS, 2))
+        assert div(2 * Q, 2) == Q
 
 
 @given(polys(), polys())
@@ -75,6 +77,7 @@ def test_div_exact_roundtrip(a, b):
     if b.is_zero():
         return
     assert (a * b).div_exact(b) == a
+    assert (a * b) / b == a
 
 
 def test_eval_examples():

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,13 @@ def test_make_datum_a3_one_parameter():
 ])
 def test_km1_constraints(series, n, mode):
     d = make_datum(series, n, mode)
+    # every scalar of the datum has the type of q
+    scalar = Fraction if mode == "numeric" else LaurentPoly
+    # the numeric point has q = 5
+    want_q = Fraction(1, 25) if mode == "numeric" else LaurentPoly.q(d.varset, -2)
+    for got, want in ((d.one(), 1), (d.zero(), 0), (d.integer(-3), -3),
+                      (d.q_power(-2), want_q)):
+        assert type(got) is scalar and got == want
     for i in range(1, n + 1):
         assert d.p_phys(i, i) == d.q ** d.d[i - 1]
         for j in range(1, n + 1):

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from qborel.coeffring import LaurentPoly
 from qborel.datum import IndexOutOfRange, make_datum
 from qborel.freeword import (FreeElem, NonHomogeneousOperand,
-                             bracket_factors, bracketing_variant, left_nested,
-                             make_word, multidegree, pbw_bracketing,
-                             qq_bracket, skew_bracket, word_greater,
-                             word_sort_key)
+                             arrangement_factors, bracket_factors,
+                             left_nested, multidegree, pbw_bracketing,
+                             qq_bracket, recursion_bracketing, skew_bracket,
+                             word_greater)
 from qborel.shuffle import eval_free
 
 C2 = make_datum("C", 2)
@@ -26,18 +26,13 @@ def t(datum, i, j, e=1):
     return LaurentPoly.t(datum.varset, i, j, e)
 
 
-def test_make_word_examples():
-    assert make_word(C3, "v", 2, 4) == (2, 3, 4)
-    assert make_word(C3, "v", 2, 4, "descending") == (4, 3, 2)
-    assert make_word(D4, "e", 1, 5) == (1, 2, 4, 5)
-    assert make_word(D4, "e_prime", 1, 5) == (1, 2, 3, 4)
-    assert make_word(D4, "e", 4, 6) == (4, 6)
-    with pytest.raises(ValueError):
-        make_word(D4, "v", 1, 2)
-    with pytest.raises(ValueError):
-        make_word(C3, "e", 1, 2)
+def test_distinguished_word_examples():
+    assert C3.word_v(2, 4) == (2, 3, 4)
+    assert D4.word_e(1, 5) == (1, 2, 4, 5)
+    assert D4.word_e_prime(1, 5) == (1, 2, 3, 4)
+    assert D4.word_e(4, 6) == (4, 6)
     with pytest.raises(IndexOutOfRange):
-        make_word(C3, "v", 1, 6)
+        C3.word_v(1, 6)
 
 
 def test_skew_bracket_examples():
@@ -142,23 +137,25 @@ def test_word_order():
     assert word_greater((1, 2), (1, 2, 1))
     assert not word_greater((1, 2), (1, 2))
     assert not word_greater((2, 1), (1, 2))
-    ordered = sorted([(2,), (1,), (1, 2)], key=word_sort_key)
-    assert ordered == [(2,), (1, 2), (1,)]
+
+
+def split_bracketing(datum, k, m, split):
+    return bracket_factors(datum, arrangement_factors(datum, k, m), split)
 
 
 def test_bracketing_variant_splits():
     # length-2 word: the unique split is the plain skew bracket
-    assert bracketing_variant(C3, 1, 2, split=1) == \
+    assert split_bracketing(C3, 1, 2, 1) == \
         skew_bracket(C3, x(C3, 1), x(C3, 2))
     # two splits of x_1 x_2 x_3 differ as free elements, agree in the image
-    a = bracketing_variant(C3, 1, 3, split=1)
-    b = bracketing_variant(C3, 1, 3, split=2)
+    a = split_bracketing(C3, 1, 3, 1)
+    b = split_bracketing(C3, 1, 3, 2)
     assert a != b
     assert eval_free(C3, a) == eval_free(C3, b)
 
 
 def test_bracketing_variant_recursion():
-    got = bracketing_variant(C3, 1, 4, recursion=True)
+    got = recursion_bracketing(C3, 1, 4)
     assert eval_free(C3, got) == eval_free(C3, pbw_bracketing(C3, 1, 4))
 
 

@@ -4,7 +4,7 @@ from qborel.coeffring import LaurentPoly
 from qborel.datum import make_datum
 from qborel.freeword import pbw_bracketing
 from qborel.pbwgen import (alpha, closed_form_image, epsilon, generator_image,
-                           pbw_generators, structure_constants, tau_table)
+                           pbw_generators, tau_table)
 from qborel.shuffle import ShuffleElem, eval_free
 
 C2 = make_datum("C", 2)
@@ -124,8 +124,6 @@ def test_pbw_generators_have_elements():
         assert g.degree == len(g.word)
 
 
-def test_structure_constants_bundle():
-    sc = structure_constants(C2, 1, 3)
-    assert sc.alpha == alpha(C2, 1, 3)
-    assert sc.epsilon == 1 + q(C2, -1)
-    assert sc.tau == tau_table(C2, 1, 3)
+def test_epsilon_at_the_fold():
+    # m = phi(k) != n in series C: the exceptional factor is 1 + q^-1
+    assert epsilon(C2, 1, 3) == 1 + q(C2, -1)

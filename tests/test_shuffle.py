@@ -6,7 +6,8 @@ from qborel.datum import make_datum
 from qborel.freeword import FreeElem, skew_bracket
 from qborel.shuffle import (BraidedTensor, ShuffleElem, braided_coproduct,
                             comonomial_degree, eval_free, eval_word,
-                            shuffle_letter_mul, tensor_of, tensor_project)
+                            shuffle_letter_mul, tensor_of,
+                            tensor_project_pair)
 from qborel.pbwgen import pbw_generators
 from qborel.verify import pbw_product_rows
 
@@ -78,15 +79,28 @@ def test_braided_coproduct_reduced():
 
 def test_tensor_project_partition():
     t = braided_coproduct(mono(C2, (2, 1)), reduced=True)
-    p = tensor_project(t, (1, 0))
+    p = tensor_project_pair(t, (0, 1), (1, 0))
     assert p == BraidedTensor({((2,), (1,)): C2.one()})
-    assert tensor_project(t, (0, 1)).is_zero()
-    # projections over all right degrees reassemble the tensor
-    degs = {comonomial_degree(r, 2) for (_, r) in t.terms}
+    assert tensor_project_pair(t, (1, 0), (0, 1)).is_zero()
+    # projections over all (left, right) degree pairs reassemble the tensor
+    t = braided_coproduct(mono(C3, (3, 2, 1, 2)))
+    pairs = {(comonomial_degree(l, 3), comonomial_degree(r, 3))
+             for (l, r) in t.terms}
     total = BraidedTensor.zero()
-    for deg in degs:
-        total = total + tensor_project(t, deg)
+    for ldeg, rdeg in pairs:
+        total = total + tensor_project_pair(t, ldeg, rdeg)
     assert total == t
+
+
+def test_sparse_types_stay_apart():
+    terms = {(1, 2): C2.one(), (2,): C2.q_power(1)}
+    elems = [cls(terms) for cls in (FreeElem, ShuffleElem, BraidedTensor)]
+    for a in elems:
+        zero = type(a).zero()
+        assert (a - a) == zero and type(a - a) is type(a)
+        assert a.scale(0) == zero and type(a.scale(0)) is type(a)
+        for b in elems:
+            assert (a == b) == (a is b)
 
 
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=6))

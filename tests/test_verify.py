@@ -1,7 +1,7 @@
 import pytest
 
 from qborel.datum import make_datum
-from qborel.verify import (coproduct_formula,
+from qborel.verify import (_modp_first_dependent, coproduct_formula,
                            run_suites, serre_relations,
                            verify_an_no_exceptions, verify_arrangements,
                            verify_coproducts, verify_identity_suite,
@@ -94,15 +94,6 @@ def test_d_e_and_eprime_share_multidegree():
             assert D4.multidegree(w) == D4.multidegree(wp)
 
 
-def test_worker_env_var(monkeypatch):
-    monkeypatch.setenv("QBOREL_WORKERS", "4")
-    parallel = verify_serre(C3)
-    monkeypatch.delenv("QBOREL_WORKERS")
-    serial = verify_serre(C3)
-    assert [c.name for c in parallel.cases] == [c.name for c in serial.cases]
-    assert parallel.passed and serial.passed
-
-
 def test_an_cross_check():
     for n in (2, 3):
         report = verify_an_no_exceptions(make_datum("A", n))
@@ -132,6 +123,19 @@ def test_pbw_independence_counts():
     assert "25/25" in report.cases[-1].name
     report = verify_pbw_independence(D3, 4, seed=0)
     assert report.passed
+
+
+def test_modp_first_dependent():
+    p = 7
+    rows = [{0: 1, 2: 3}, {1: 2}, {0: 2, 1: 2, 2: 5}]
+    assert _modp_first_dependent(rows, p) == (3, None)
+    # row 3 is 3 * row 0 + 5 * row 1, written with residues >= p
+    rows.append({0: 3 + 7, 1: 10, 2: 9 + 7})
+    assert _modp_first_dependent(rows, p) == (3, 3)
+    # a zero row, or one that is zero mod p, is dependent
+    assert _modp_first_dependent([{0: 1}, {}], p) == (1, 1)
+    assert _modp_first_dependent([{1: 14}], p) == (0, 0)
+    assert _modp_first_dependent([], p) == (0, None)
 
 
 def test_pbw_independence_numeric_datum():
