@@ -149,13 +149,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * self.vs.nvars: 1}
-
-    def is_monomial(self) -> bool:
-        """True when the polynomial is a single term."""
-        return len(self.terms) == 1
-
     def is_unit(self) -> bool:
         """True for +-(single monomial), the invertible elements of the ring."""
         return len(self.terms) == 1 and abs(next(iter(self.terms.values()))) == 1
@@ -181,14 +174,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly(self.vs, out)
+        return LaurentPoly(self.vs, add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -221,13 +207,7 @@ class LaurentPoly:
             return other * self
         out: dict = {}
         for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(sum, zip(ea, eb)))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+            add_terms(out, ((tuple(map(sum, zip(ea, eb))), ca * cb) for eb, cb in b.items()))
         return LaurentPoly(self.vs, out)
 
     __rmul__ = __mul__
@@ -242,8 +222,9 @@ class LaurentPoly:
         while exp:
             if exp & 1:
                 result = result * base
-            base = base * base
             exp >>= 1
+            if exp:
+                base = base * base
         return result
 
     def inverse(self) -> "LaurentPoly":
@@ -279,7 +260,9 @@ class LaurentPoly:
         Works by shifting both operands to honest polynomials with zero
         minimum exponent in each variable (the quotient of such polynomials
         is again of that shape because valuations add), then running
-        leading-term division over Q and checking integrality.
+        leading-term division.  Each quotient exponent is produced exactly
+        once, so the quotient is integral iff every leading coefficient
+        divides exactly as it is taken.
         """
         b = self._coerce(b)
         if b is NotImplemented:
@@ -301,10 +284,7 @@ class LaurentPoly:
         nv = self.vs.nvars
         sa = [min(e[v] for e in self.terms) for v in range(nv)]
         sb = [min(e[v] for e in b.terms) for v in range(nv)]
-        rem = {
-            tuple(x - s for x, s in zip(e, sa)): Fraction(c)
-            for e, c in self.terms.items()
-        }
+        rem = {tuple(x - s for x, s in zip(e, sa)): c for e, c in self.terms.items()}
         bshift = {tuple(x - s for x, s in zip(e, sb)): c for e, c in b.terms.items()}
         lb = max(bshift, key=_grlex_key)
         lc = bshift[lb]
@@ -314,22 +294,13 @@ class LaurentPoly:
             d = tuple(x - y for x, y in zip(la, lb))
             if any(x < 0 for x in d):
                 raise NonDivisible("no exact Laurent quotient")
-            f = rem[la] / lc
-            quo[d] = f
-            for eb, cb in bshift.items():
-                e = tuple(map(sum, zip(d, eb)))
-                s = rem.get(e, 0) - f * cb
-                if s:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
-        shift = tuple(x - y for x, y in zip(sa, sb))
-        out = {}
-        for e, f in quo.items():
-            if f.denominator != 1:
+            f, r = divmod(rem[la], lc)
+            if r:
                 raise NonDivisible("quotient has non-integer coefficients")
-            out[tuple(map(sum, zip(e, shift)))] = int(f)
-        return LaurentPoly(self.vs, out)
+            quo[d] = f
+            add_terms(rem, ((tuple(map(sum, zip(d, eb))), -f * cb) for eb, cb in bshift.items()))
+        shift = tuple(x - y for x, y in zip(sa, sb))
+        return LaurentPoly(self.vs, {tuple(map(sum, zip(e, shift))): f for e, f in quo.items()})
 
     def __truediv__(self, other) -> "LaurentPoly":
         """Exact quotient, like Fraction division; NonDivisible if none exists."""
@@ -543,14 +514,24 @@ class _PolyParser:
 
 # -- sparse linear combinations ---------------------------------------------
 
-def add_terms(out: dict, terms: dict) -> None:
-    """Add ``terms`` into ``out`` in place, dropping zero sums."""
-    for k, c in terms.items():
-        cur = out.get(k, 0) + c
-        if cur:
-            out[k] = cur
+def add_terms(out: dict, pairs) -> dict:
+    """Merge (key, nonzero scalar) pairs into ``out`` in place; returns ``out``.
+
+    This is the one merge of every sparse sum in the package.  A new key
+    stores its scalar as given, with no ``0 + c``, so the scalar's ``__radd__``
+    is never called; a key whose sum cancels is deleted.
+    """
+    for k, c in pairs:
+        cur = out.get(k)
+        if cur is None:
+            out[k] = c
         else:
-            out.pop(k, None)
+            cur = cur + c
+            if cur:
+                out[k] = cur
+            else:
+                del out[k]
+    return out
 
 
 class LinComb:
@@ -578,9 +559,7 @@ class LinComb:
         return bool(self.terms)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        add_terms(out, other.terms)
-        return type(self)(out)
+        return type(self)(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffring import LaurentPoly, MissingAssignment, VarSet, ZeroAssignment
+from .coeffring import LaurentPoly, MissingAssignment, VarSet
 
 SERIES = ("A", "C", "D")
 MODES = ("multiparameter", "one-parameter", "numeric")
@@ -278,39 +278,32 @@ def make_datum(series: str, n: int, mode: str = "multiparameter",
 
     cartan, d = cartan_data(series, n)
     vs = VarSet(n)
-
-    if mode == "numeric":
-        assignment = dict(assignment) if assignment else default_assignment(n, seed)
-        for name in vs.names:
-            if name not in assignment:
-                raise MissingAssignment(name)
-        q = Fraction(assignment["q"])
-        if q == 0 or q == 1 or q == -1 or q ** 3 == 1:
-            raise NumericAssignmentHitsExcludedRoot(f"q = {q} is excluded")
-        p = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            p[i][i] = q ** d[i]
-            for j in range(i + 1, n):
-                t = Fraction(assignment[f"t_{i + 1}_{j + 1}"])
-                if t == 0:
-                    raise ZeroAssignment(f"t_{i + 1}_{j + 1} assigned 0")
-                p[i][j] = t
-                p[j][i] = q ** (d[i] * cartan[i][j]) / t
-        return QuantumDatum(series, n, mode, cartan, d, vs, assignment,
-                            tuple(tuple(row) for row in p), q)
-
     q = LaurentPoly.q(vs)
     p = [[LaurentPoly.zero(vs)] * n for _ in range(n)]
     for i in range(n):
         p[i][i] = LaurentPoly.q(vs, d[i])
         for j in range(i + 1, n):
-            if mode == "multiparameter":
-                p[i][j] = LaurentPoly.t(vs, i + 1, j + 1)
-                p[j][i] = LaurentPoly.q(vs, d[i] * cartan[i][j]) * LaurentPoly.t(vs, i + 1, j + 1, -1)
-            else:
+            if mode == "one-parameter":
                 p[i][j] = LaurentPoly.q(vs, d[i] * cartan[i][j])
                 p[j][i] = LaurentPoly.one(vs)
-    return QuantumDatum(series, n, mode, cartan, d, vs, None,
+            else:
+                p[i][j] = LaurentPoly.t(vs, i + 1, j + 1)
+                p[j][i] = LaurentPoly.q(vs, d[i] * cartan[i][j]) * LaurentPoly.t(vs, i + 1, j + 1, -1)
+    if mode == "numeric":
+        assignment = dict(assignment) if assignment else default_assignment(n, seed)
+        for name in vs.names:
+            if name not in assignment:
+                raise MissingAssignment(name)
+        qv = Fraction(assignment["q"])
+        if qv == 0 or qv == 1 or qv == -1 or qv ** 3 == 1:
+            raise NumericAssignmentHitsExcludedRoot(f"q = {qv} is excluded")
+        # evaluate raises ZeroAssignment for a zero t_ij; extra keys are not passed
+        point = {name: assignment[name] for name in vs.names}
+        q = q.evaluate(point)
+        p = [[x.evaluate(point) for x in row] for row in p]
+    else:
+        assignment = None
+    return QuantumDatum(series, n, mode, cartan, d, vs, assignment,
                         tuple(tuple(row) for row in p), q)
 
 

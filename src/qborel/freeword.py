@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .coeffring import LinComb
+from .coeffring import LinComb, add_terms
 from .datum import IndexOutOfRange, QuantumDatum
 
 Word = tuple  # tuple of extended letter indices
@@ -44,13 +44,7 @@ class FreeElem(LinComb):
         """Concatenation product, extended bilinearly."""
         out: dict = {}
         for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = wa + wb
-                s = out.get(w, 0) + ca * cb
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+            add_terms(out, ((wa + wb, ca * cb) for wb, cb in other.terms.items()))
         return FreeElem(out)
 
     def __pow__(self, e: int) -> "FreeElem":

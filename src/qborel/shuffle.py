@@ -17,6 +17,8 @@ word-by-word reference).
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from .coeffring import LinComb, add_terms
@@ -69,33 +71,19 @@ def shuffle_letter_mul(datum: QuantumDatum, side: str, w: ShuffleElem,
                        i: int) -> ShuffleElem:
     """Right product (w)(x_i) or left product (x_i)(w), per the split rule."""
     phys = datum.physical(i)
-    row_inv = datum._p_inv[phys - 1]
-    col = [datum._p_inv[a][phys - 1] for a in range(datum.n)]
     out: dict = {}
     if side == "right":
+        # (u x_i v) pays p(x_i, v)^{-1}: one more letter of v per split leftwards
+        inv = (None,) + datum._p_inv[phys - 1]
         for z, c in w.terms.items():
-            acc = c
-            for s in range(len(z), -1, -1):
-                key = z[:s] + (phys,) + z[s:]
-                cur = out.get(key, 0) + acc
-                if cur:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
-                if s:
-                    acc = acc * row_inv[z[s - 1] - 1]
+            add_terms(out, zip((z[:s] + (phys,) + z[s:] for s in range(len(z), -1, -1)),
+                               accumulate(map(inv.__getitem__, reversed(z)), mul, initial=c)))
     elif side == "left":
+        # (u x_i v) pays p(u, x_i)^{-1}: one more letter of u per split rightwards
+        inv = (None,) + tuple(row[phys - 1] for row in datum._p_inv)
         for z, c in w.terms.items():
-            acc = c
-            for s in range(len(z) + 1):
-                key = z[:s] + (phys,) + z[s:]
-                cur = out.get(key, 0) + acc
-                if cur:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
-                if s < len(z):
-                    acc = acc * col[z[s] - 1]
+            add_terms(out, zip((z[:s] + (phys,) + z[s:] for s in range(len(z) + 1)),
+                               accumulate(map(inv.__getitem__, z), mul, initial=c)))
     else:
         raise ValueError("side must be 'right' or 'left'")
     return ShuffleElem(out)
@@ -126,13 +114,13 @@ def _act(datum: QuantumDatum, s: ShuffleElem, terms: dict) -> ShuffleElem:
     groups: dict = {}
     for w, c in terms.items():
         if not w:
-            add_terms(out, s.scale(c).terms)
+            add_terms(out, s.scale(c).terms.items())
             continue
-        add_terms(groups.setdefault(datum.physical(w[-1]), {}), {w[:-1]: c})
+        add_terms(groups.setdefault(datum.physical(w[-1]), {}), ((w[:-1], c),))
     for x, prefixes in groups.items():
         if prefixes:
             img = shuffle_letter_mul(datum, "right", _act(datum, s, prefixes), x)
-            add_terms(out, img.terms)
+            add_terms(out, img.terms.items())
     return ShuffleElem(out)
 
 
@@ -172,7 +160,7 @@ def braided_coproduct(s: ShuffleElem, reduced: bool = False) -> BraidedTensor:
     out: dict = {}
     drop = 1 if reduced else 0
     for z, c in s.terms.items():
-        add_terms(out, {(z[:i], z[i:]): c for i in range(drop, len(z) - drop + 1)})
+        add_terms(out, (((z[:i], z[i:]), c) for i in range(drop, len(z) - drop + 1)))
     return BraidedTensor(out)
 
 

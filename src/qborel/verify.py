@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from .coeffring import NonDivisible
 from .datum import QuantumDatum, make_datum, sigma, sigma_closed_form
 from .freeword import (FreeElem, arrangement_factors, bracket_factors,
-                       multidegree, recursion_bracketing, skew_bracket)
+                       left_nested, multidegree, recursion_bracketing,
+                       right_nested, skew_bracket)
 from .pbwgen import generator_image, pbw_generators, pbw_intervals, tau_table
 from .shuffle import (BraidedTensor, ShuffleElem, act_free, braided_coproduct,
                       eval_free, tensor_of, tensor_project_pair)
@@ -129,6 +130,13 @@ def verify_sigma_closed_form(datum: QuantumDatum) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Serre relations
 
+def _serre_pairs(datum: QuantumDatum) -> list:
+    """(i, j, 1 - a_ji) for every ordered pair of distinct nodes."""
+    n = datum.n
+    return [(i, j, 1 - datum.cartan[j - 1][i - 1])
+            for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+
+
 def serre_relations(datum: QuantumDatum) -> list:
     """Defining relations as (name, FreeElem) pairs.
 
@@ -137,28 +145,14 @@ def serre_relations(datum: QuantumDatum) -> list:
     chain [x_j,[x_j,...,[x_j,x_i]...]] are listed; for orthogonal pairs
     both collapse to the plain brackets [x_i,x_j] and [x_j,x_i].
     """
-    n = datum.n
     rels = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            cnt = 1 - datum.cartan[j - 1][i - 1]
-            xi = FreeElem.letter(datum, i)
-            xj = FreeElem.letter(datum, j)
-            left = xi
-            lname = f"x{i}"
-            for _ in range(cnt):
-                left = skew_bracket(datum, left, xj)
-                lname = f"[{lname},x{j}]"
-            rels.append((lname, left))
-            if cnt > 1:
-                right = xi
-                rname = f"x{i}"
-                for _ in range(cnt):
-                    right = skew_bracket(datum, xj, right)
-                    rname = f"[x{j},{rname}]"
-                rels.append((rname, right))
+    for i, j, cnt in _serre_pairs(datum):
+        xi, xj = FreeElem.letter(datum, i), FreeElem.letter(datum, j)
+        rels.append(("[" * cnt + f"x{i}" + f",x{j}]" * cnt,
+                     left_nested(datum, [xi] + [xj] * cnt)))
+        if cnt > 1:
+            rels.append((f"[x{j}," * cnt + f"x{i}" + "]" * cnt,
+                         right_nested(datum, [xj] * cnt + [xi])))
     return rels
 
 
@@ -318,7 +312,8 @@ def coproduct_formula(datum: QuantumDatum, k: int, m: int,
     taus = tau_table(datum, k, m)
     sym = "e" if datum.series == "D" else "v"
     terms = []
-    covered = BraidedTensor.zero()
+    degree_pairs = set()
+    projected = 0
     for i in range(k, m):
         lword = datum.series_word(i + 1, m)
         rword = datum.series_word(k, i)
@@ -358,13 +353,17 @@ def coproduct_formula(datum: QuantumDatum, k: int, m: int,
             if proj != want:
                 raise NonProportionalProjection(
                     f"({k},{m}) i={i}: " + _tensor_witness(proj, want))
-        covered = covered + (proj if mode == "discover" else expected.scale(gamma))
+        degree_pairs.add((ldeg, rdeg))
+        projected += len(proj.terms)
         terms.append(CoproductTerm(i, tau, rdeg, f"{sym}[{i + 1},{m}]",
                                    f"{sym}[{k},{i}]", tau * qfac, gamma))
-    if covered != actual:
+    # the projections are disjoint restrictions of actual, so counting suffices
+    if projected != len(actual.terms):
+        stray = {key: c for key, c in actual.terms.items()
+                 if (datum.multidegree(key[0]), datum.multidegree(key[1])) not in degree_pairs}
         raise NonProportionalProjection(
             f"({k},{m}): terms do not exhaust the braided coproduct: "
-            + _tensor_witness(covered, actual))
+            + _tensor_witness(BraidedTensor.zero(), BraidedTensor(stray)))
     return CoproductFormula(datum.series, datum.n, k, m, mode, terms, actual,
                             (k, m) in pbw_intervals(datum))
 
@@ -439,27 +438,14 @@ def _random_homogeneous(datum: QuantumDatum, rng: random.Random,
 
 
 def _guard_pairs(datum: QuantumDatum) -> list:
-    """Pairs (u, w) whose skew bracket vanishes in the shuffle image."""
-    n = datum.n
+    """Pairs (u, w) whose skew bracket vanishes in the shuffle image: the
+    outer operands of the Serre chains, the right-nested chain first."""
     pairs = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            cnt = 1 - datum.cartan[j - 1][i - 1]
-            xi = FreeElem.letter(datum, i)
-            xj = FreeElem.letter(datum, j)
-            if cnt == 1:
-                pairs.append((xi, xj))
-                continue
-            inner = xi
-            for _ in range(cnt - 1):
-                inner = skew_bracket(datum, xj, inner)
-            pairs.append((xj, inner))
-            outer = xi
-            for _ in range(cnt - 1):
-                outer = skew_bracket(datum, outer, xj)
-            pairs.append((outer, xj))
+    for i, j, cnt in _serre_pairs(datum):
+        xi, xj = FreeElem.letter(datum, i), FreeElem.letter(datum, j)
+        if cnt > 1:
+            pairs.append((xj, right_nested(datum, [xj] * (cnt - 1) + [xi])))
+        pairs.append((left_nested(datum, [xi] + [xj] * (cnt - 1)), xj))
     return pairs
 
 

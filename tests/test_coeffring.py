@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from qborel.coeffring import (DivisionByZero, LaurentPoly, MissingAssignment,
                               NonDivisible, PolyParseError, VarSet,
-                              VarSetMismatch, ZeroAssignment, parse_poly)
+                              VarSetMismatch, ZeroAssignment, add_terms,
+                              parse_poly)
 
 VS = VarSet(2)  # variables q, t_1_2
 Q = LaurentPoly.q(VS)
@@ -69,6 +70,9 @@ def test_div_exact_examples():
         with pytest.raises(NonDivisible):
             div(Q + 1, LaurentPoly.integer(VS, 2))
         assert div(2 * Q, 2) == Q
+        # the same on the general (multi-term divisor) path
+        with pytest.raises(NonDivisible):
+            div(Q + 1, 2 * Q + 2)
 
 
 @given(polys(), polys())
@@ -104,6 +108,37 @@ def test_inverse_and_powers():
     with pytest.raises(NonDivisible):
         (Q + 1).inverse()
     assert (Q - 1) ** 0 == ONE
+
+
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    for exp, products in ((1, 1), (2, 2), (5, 4)):
+        calls.clear()
+        assert Q ** exp == LaurentPoly.q(VS, exp)
+        assert len(calls) == products
+
+
+class _NoRadd:
+    """A scalar that cannot be added to the integer 0."""
+
+    def __radd__(self, other):
+        raise TypeError("0 + c must not be computed")
+
+
+def test_add_terms_merges_in_place():
+    c = _NoRadd()
+    out = {}
+    assert add_terms(out, [("a", c)]) is out
+    assert out["a"] is c
+    merged = add_terms({"a": 1, "b": 2}, [("a", -1), ("c", 3), ("b", 1), ("c", -3)])
+    assert merged == {"b": 3}
 
 
 def test_canonical_string():

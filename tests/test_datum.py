@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qborel
-from qborel.coeffring import LaurentPoly
+from qborel.coeffring import LaurentPoly, MissingAssignment, ZeroAssignment
 from qborel.datum import (IndexOutOfRange, InvalidRank,
                           NumericAssignmentHitsExcludedRoot, make_datum, mu,
                           sigma, sigma_closed_form)
@@ -79,6 +79,24 @@ def test_rank_and_mode_errors():
         make_datum("C", 2, "numeric", assignment={"q": 1, "t_1_2": 7})
     with pytest.raises(NumericAssignmentHitsExcludedRoot):
         make_datum("C", 2, "numeric", assignment={"q": -1, "t_1_2": 7})
+
+
+def test_numeric_datum_at_a_given_point():
+    # C_3: a_12 = -1, a_23 = -2, d = (1, 1, 2); the unused key is ignored
+    point = {"q": 3, "t_1_2": 7, "t_1_3": Fraction(2, 5), "t_2_3": -4, "s": 0}
+    d = make_datum("C", 3, "numeric", assignment=point)
+    assert d.q == 3 and type(d.q) is Fraction
+    assert d.p_phys(3, 3) == 9
+    assert d.p_phys(1, 3) == Fraction(2, 5) and d.p_phys(3, 1) == Fraction(5, 2)
+    assert d.p_phys(2, 1) == Fraction(1, 21)           # q^-1 / t_1_2
+    assert d.p_phys(3, 2) == Fraction(-1, 36)          # q^-2 / t_2_3
+    # a missing name first, then an excluded q, then a zero t_ij
+    with pytest.raises(MissingAssignment):
+        make_datum("C", 2, "numeric", assignment={"q": 1, "t_1_3": 0})
+    with pytest.raises(NumericAssignmentHitsExcludedRoot):
+        make_datum("C", 2, "numeric", assignment={"q": 1, "t_1_2": 0})
+    with pytest.raises(ZeroAssignment):
+        make_datum("C", 2, "numeric", assignment={"q": 2, "t_1_2": 0})
 
 
 def test_letters_and_folding():

@@ -1,7 +1,10 @@
 import pytest
 
+from qborel import verify
 from qborel.datum import make_datum
-from qborel.verify import (_modp_first_dependent, coproduct_formula,
+from qborel.shuffle import BraidedTensor
+from qborel.verify import (NonProportionalProjection, _modp_first_dependent,
+                           coproduct_formula,
                            run_suites, serre_relations,
                            verify_an_no_exceptions, verify_arrangements,
                            verify_coproducts, verify_identity_suite,
@@ -71,6 +74,19 @@ def test_coproduct_unbraided_coefficients():
         assert term.braided_coefficient * D4.p_words(lword, rword) == \
             term.unbraided_coefficient
         assert term.grouplike == D4.multidegree(rword)
+
+
+def test_coproduct_formula_rejects_an_uncovered_term(monkeypatch):
+    real = verify.braided_coproduct
+
+    def with_stray_term(s, reduced=False):
+        return real(s, reduced) + BraidedTensor({((1,), (1, 1, 1)): C3.one()})
+
+    monkeypatch.setattr(verify, "braided_coproduct", with_stray_term)
+    for mode in ("assert", "discover"):
+        with pytest.raises(NonProportionalProjection, match="do not exhaust") as err:
+            coproduct_formula(C3, 1, 5, mode=mode)
+        assert "at (x1)(x)(x1 x1 x1): (absent) != 1" in str(err.value)
 
 
 @pytest.mark.parametrize("d", [C2, C3, D3, D4], ids=lambda d: f"{d.series}{d.n}")
