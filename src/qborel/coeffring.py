@@ -14,8 +14,12 @@ operations are pure, so they can be shared freely.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping
+
+EXP_LIMIT = 2 ** 30 - 1  # largest |exponent|; a sum of two still fits a 32-bit slot
 
 
 class VarSetMismatch(ValueError):
@@ -24,6 +28,10 @@ class VarSetMismatch(ValueError):
 
 class NonDivisible(ArithmeticError):
     """Raised when an exact quotient does not exist in the Laurent ring."""
+
+
+class ExponentOutOfRange(ValueError):
+    """Raised when an exponent would leave [-EXP_LIMIT, EXP_LIMIT]."""
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -53,9 +61,15 @@ class VarSet:
     Internally variables are numbered 0..nvars-1 with q first and the t_ij
     in lexicographic (i, j) order, which also fixes the canonical monomial
     order (graded lex on exponent vectors, q coordinate first).
+
+    A monomial is stored as one int, its packed key sum_v e_v 2^(32 v):
+    variable v owns the 32-bit slot v, in balanced (signed) digits.  Within
+    the exponent range [-EXP_LIMIT, EXP_LIMIT] the sum and the difference
+    of two keys are the keys of the product and the quotient, and ``-key``
+    is the key of the inverse.
     """
 
-    __slots__ = ("n", "names", "_pos")
+    __slots__ = ("n", "names", "_pos", "_slots", "_bias")
 
     def __init__(self, n: int):
         if n < 1:
@@ -67,6 +81,9 @@ class VarSet:
                 names.append(f"t_{i}_{j}")
         self.names = tuple(names)
         self._pos = {nm: k for k, nm in enumerate(names)}
+        self._slots = struct.Struct(f"<{len(names)}i")
+        # 2^31 in every slot: adding it turns balanced digits into offset ones
+        self._bias = int.from_bytes(b"\0\0\0\x80" * len(names), "little")
 
     @property
     def nvars(self) -> int:
@@ -82,6 +99,22 @@ class VarSet:
         if not (1 <= i < j <= self.n):
             raise KeyError(f"no variable t_{i}_{j} at rank {self.n}")
         return self._pos[f"t_{i}_{j}"]
+
+    def pack(self, exps) -> int:
+        """The packed key of a dense exponent vector; range-checked."""
+        if len(exps) != len(self.names):
+            raise ValueError(f"expected {len(self.names)} exponents, got {len(exps)}")
+        if max(map(abs, exps)) > EXP_LIMIT:
+            raise ExponentOutOfRange(f"exponent outside +-{EXP_LIMIT} in {tuple(exps)}")
+        # the int32 bytes of e, read unsigned, are the offset digit e + 2^31
+        # with bit 31 flipped; the bias flips it back, then is taken off
+        return (int.from_bytes(self._slots.pack(*exps), "little") ^ self._bias) - self._bias
+
+    def unpack(self, key: int) -> tuple:
+        """The dense exponent vector of a packed key (the inverse of pack)."""
+        # adding the bias gives the offset digits e + 2^31; flipping bit 31
+        # leaves the int32 bytes of e
+        return self._slots.unpack(((key + self._bias) ^ self._bias).to_bytes(self._slots.size, "little"))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VarSet) and self.n == other.n
@@ -100,29 +133,33 @@ def _grlex_key(exps: tuple) -> tuple:
 class LaurentPoly:
     """A canonical sparse element of Z[q^{+-1}, t_ij^{+-1}].
 
-    ``terms`` maps dense exponent tuples (one slot per variable, negative
-    entries allowed) to nonzero integer coefficients.  Equality is exact
-    term-map equality; no zero coefficient is ever stored.
+    ``terms`` maps packed monomial keys (see :class:`VarSet`) to nonzero
+    integer coefficients; every exponent lies in [-EXP_LIMIT, EXP_LIMIT],
+    and an operation whose result would leave that range raises
+    ``ExponentOutOfRange``.  Equality is exact term-map equality; no zero
+    coefficient is ever stored.  The constructor takes dense exponent
+    tuples (one slot per variable, negative entries allowed).
     """
 
-    __slots__ = ("vs", "terms", "_hash")
+    __slots__ = ("vs", "terms", "_bound", "_hash")
 
     def __init__(self, vs: VarSet, terms: Mapping[tuple, int]):
+        pack = vs.pack
         self.vs = vs
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = {pack(e): c for e, c in terms.items() if c}
+        # an upper bound on |exponent| over the terms, the range guard's input
+        self._bound = _max_exponent(vs, self.terms)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, vs: VarSet) -> "LaurentPoly":
-        return cls(vs, {})
+        return _laurent(vs, {}, 0)
 
     @classmethod
     def integer(cls, vs: VarSet, c: int) -> "LaurentPoly":
-        if c == 0:
-            return cls.zero(vs)
-        return cls(vs, {(0,) * vs.nvars: c})
+        return _laurent(vs, {0: c} if c else {}, 0)
 
     @classmethod
     def one(cls, vs: VarSet) -> "LaurentPoly":
@@ -157,7 +194,7 @@ class LaurentPoly:
         return bool(self.terms)
 
     def _check(self, other: "LaurentPoly") -> None:
-        if self.vs != other.vs:
+        if self.vs is not other.vs and self.vs != other.vs:
             raise VarSetMismatch(f"cannot mix {self.vs!r} and {other.vs!r}")
 
     def _coerce(self, other):
@@ -174,12 +211,13 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return LaurentPoly(self.vs, add_terms(dict(self.terms), other.terms.items()))
+        return _laurent(self.vs, add_terms(dict(self.terms), other.terms.items()),
+                        max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.vs, {e: -c for e, c in self.terms.items()})
+        return _laurent(self.vs, {k: -c for k, c in self.terms.items()}, self._bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -197,18 +235,16 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if not a or not b:
             return LaurentPoly.zero(self.vs)
+        bound = self._bound + other._bound
         if len(b) == 1:
-            (be, bc), = b.items()
-            return LaurentPoly(
-                self.vs,
-                {tuple(map(sum, zip(e, be))): c * bc for e, c in a.items()},
-            )
+            (kb, cb), = b.items()
+            return _laurent(self.vs, {k + kb: c * cb for k, c in a.items()}, bound)
         if len(a) == 1:
             return other * self
         out: dict = {}
-        for ea, ca in a.items():
-            add_terms(out, ((tuple(map(sum, zip(ea, eb))), ca * cb) for eb, cb in b.items()))
-        return LaurentPoly(self.vs, out)
+        for ka, ca in a.items():
+            add_terms(out, ((ka + kb, ca * cb) for kb, cb in b.items()))
+        return _laurent(self.vs, out, bound)
 
     __rmul__ = __mul__
 
@@ -231,23 +267,24 @@ class LaurentPoly:
         """Inverse of a unit (+- a single monomial)."""
         if not self.is_unit():
             raise NonDivisible(f"{self} is not a unit of the Laurent ring")
-        (e, c), = self.terms.items()
-        return LaurentPoly(self.vs, {tuple(-x for x in e): c})
+        (k, c), = self.terms.items()
+        return _laurent(self.vs, {-k: c}, self._bound)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self.terms == LaurentPoly.integer(self.vs, other).terms
+            return self.terms == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.vs == other.vs and self.terms == other.terms
+        return ((self.vs is other.vs or self.vs == other.vs)
+                and self.terms == other.terms)
 
     def __hash__(self) -> int:
         # a constant equals its integer (see __eq__), so it must hash like it
         if self._hash is None:
             if not self.terms:
                 self._hash = hash(0)
-            elif len(self.terms) == 1 and not any(next(iter(self.terms))):
-                self._hash = hash(next(iter(self.terms.values())))
+            elif len(self.terms) == 1 and 0 in self.terms:
+                self._hash = hash(self.terms[0])
             else:
                 self._hash = hash((self.vs, frozenset(self.terms.items())))
         return self._hash
@@ -257,12 +294,13 @@ class LaurentPoly:
     def div_exact(self, b) -> "LaurentPoly":
         """Exact quotient c with c * b == self, else NonDivisible.
 
-        Works by shifting both operands to honest polynomials with zero
+        A monomial divisor subtracts its key from every key.  Otherwise both
+        operands are unpacked and shifted to honest polynomials with zero
         minimum exponent in each variable (the quotient of such polynomials
-        is again of that shape because valuations add), then running
-        leading-term division.  Each quotient exponent is produced exactly
-        once, so the quotient is integral iff every leading coefficient
-        divides exactly as it is taken.
+        is again of that shape because valuations add), then leading-term
+        division runs in graded-lex order.  Each quotient exponent is
+        produced exactly once, so the quotient is integral iff every leading
+        coefficient divides exactly as it is taken.
         """
         b = self._coerce(b)
         if b is NotImplemented:
@@ -272,35 +310,37 @@ class LaurentPoly:
         if self.is_zero():
             return LaurentPoly.zero(self.vs)
         if len(b.terms) == 1:
-            (be, bc), = b.terms.items()
+            (kb, bc), = b.terms.items()
             out = {}
-            for ae, ac in self.terms.items():
+            for ka, ac in self.terms.items():
                 quo, rem = divmod(ac, bc)
                 if rem:
                     raise NonDivisible(f"coefficient {ac} not divisible by {bc}")
-                out[tuple(x - y for x, y in zip(ae, be))] = quo
-            return LaurentPoly(self.vs, out)
+                out[ka - kb] = quo
+            return _laurent(self.vs, out, self._bound + b._bound)
 
-        nv = self.vs.nvars
-        sa = [min(e[v] for e in self.terms) for v in range(nv)]
-        sb = [min(e[v] for e in b.terms) for v in range(nv)]
-        rem = {tuple(x - s for x, s in zip(e, sa)): c for e, c in self.terms.items()}
-        bshift = {tuple(x - s for x, s in zip(e, sb)): c for e, c in b.terms.items()}
+        unpack = self.vs.unpack
+        a_exps = {unpack(k): c for k, c in self.terms.items()}
+        b_exps = {unpack(k): c for k, c in b.terms.items()}
+        sa = tuple(map(min, zip(*a_exps)))
+        sb = tuple(map(min, zip(*b_exps)))
+        rem = {tuple(map(sub, e, sa)): c for e, c in a_exps.items()}
+        bshift = {tuple(map(sub, e, sb)): c for e, c in b_exps.items()}
         lb = max(bshift, key=_grlex_key)
         lc = bshift[lb]
         quo: dict = {}
         while rem:
             la = max(rem, key=_grlex_key)
-            d = tuple(x - y for x, y in zip(la, lb))
-            if any(x < 0 for x in d):
+            d = tuple(map(sub, la, lb))
+            if min(d) < 0:
                 raise NonDivisible("no exact Laurent quotient")
             f, r = divmod(rem[la], lc)
             if r:
                 raise NonDivisible("quotient has non-integer coefficients")
             quo[d] = f
-            add_terms(rem, ((tuple(map(sum, zip(d, eb))), -f * cb) for eb, cb in bshift.items()))
-        shift = tuple(x - y for x, y in zip(sa, sb))
-        return LaurentPoly(self.vs, {tuple(map(sum, zip(e, shift))): f for e, f in quo.items()})
+            add_terms(rem, ((tuple(map(add, d, eb)), -f * cb) for eb, cb in bshift.items()))
+        shift = tuple(map(sub, sa, sb))
+        return LaurentPoly(self.vs, {tuple(map(add, e, shift)): f for e, f in quo.items()})
 
     def __truediv__(self, other) -> "LaurentPoly":
         """Exact quotient, like Fraction division; NonDivisible if none exists."""
@@ -321,9 +361,9 @@ class LaurentPoly:
                 raise ZeroAssignment(f"{name} assigned 0; Laurent variables must be invertible")
             values[self.vs.index(name)] = v
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for k, c in self.terms.items():
             term = Fraction(c)
-            for v, exp in enumerate(e):
+            for v, exp in enumerate(self.vs.unpack(k)):
                 if exp == 0:
                     continue
                 if v not in values:
@@ -344,7 +384,8 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         groups: dict = {}
-        for e, c in self.terms.items():
+        for k, c in self.terms.items():
+            e = self.vs.unpack(k)
             groups.setdefault(e[1:], {})[e[0]] = c
 
         def lead_key(item):
@@ -406,6 +447,32 @@ def _render_qpoly(qpoly: Mapping[int, int]) -> str:
         else:
             out += "+" + p
     return out
+
+
+def _max_exponent(vs: VarSet, terms: dict) -> int:
+    """The largest |exponent| over the packed keys of ``terms``."""
+    return max((max(map(abs, vs.unpack(k))) for k in terms), default=0)
+
+
+def _laurent(vs: VarSet, terms: dict, bound: int) -> LaurentPoly:
+    """A LaurentPoly around a fresh dict of packed keys with no zero
+    coefficient, taken as is.
+
+    ``bound`` is an upper bound on every |exponent| in ``terms``; it may
+    overshoot, as the sum of the operands' bounds does, and only when it
+    passes EXP_LIMIT are the keys unpacked for the exact bound, which must
+    be in range.  Keys computed from in-range operands never wrap a slot.
+    """
+    if bound > EXP_LIMIT:
+        bound = _max_exponent(vs, terms)
+        if bound > EXP_LIMIT:
+            raise ExponentOutOfRange(f"an exponent reaches {bound}, past +-{EXP_LIMIT}")
+    p = object.__new__(LaurentPoly)
+    p.vs = vs
+    p.terms = terms
+    p._bound = bound
+    p._hash = None
+    return p
 
 
 # -- parsing ---------------------------------------------------------------
@@ -549,8 +616,15 @@ class LinComb:
         self.terms = {k: c for k, c in terms.items() if c}
 
     @classmethod
+    def _fresh(cls, terms: dict):
+        """An element around a fresh dict with no zero scalar, taken as is."""
+        obj = object.__new__(cls)
+        obj.terms = terms
+        return obj
+
+    @classmethod
     def zero(cls):
-        return cls({})
+        return cls._fresh({})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -559,18 +633,18 @@ class LinComb:
         return bool(self.terms)
 
     def __add__(self, other):
-        return type(self)(add_terms(dict(self.terms), other.terms.items()))
+        return self._fresh(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self._fresh({k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
         if not c:
-            return type(self).zero()
-        return type(self)({k: c * ck for k, ck in self.terms.items()})
+            return self.zero()
+        return self._fresh({k: c * ck for k, ck in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.terms == other.terms

@@ -45,7 +45,7 @@ class FreeElem(LinComb):
         out: dict = {}
         for wa, ca in self.terms.items():
             add_terms(out, ((wa + wb, ca * cb) for wb, cb in other.terms.items()))
-        return FreeElem(out)
+        return FreeElem._fresh(out)
 
     def __pow__(self, e: int) -> "FreeElem":
         if e < 0:

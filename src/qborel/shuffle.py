@@ -86,7 +86,7 @@ def shuffle_letter_mul(datum: QuantumDatum, side: str, w: ShuffleElem,
                                accumulate(map(inv.__getitem__, z), mul, initial=c)))
     else:
         raise ValueError("side must be 'right' or 'left'")
-    return ShuffleElem(out)
+    return ShuffleElem._fresh(out)
 
 
 def eval_word(datum: QuantumDatum, word: Sequence[int]) -> ShuffleElem:
@@ -121,7 +121,7 @@ def _act(datum: QuantumDatum, s: ShuffleElem, terms: dict) -> ShuffleElem:
         if prefixes:
             img = shuffle_letter_mul(datum, "right", _act(datum, s, prefixes), x)
             add_terms(out, img.terms.items())
-    return ShuffleElem(out)
+    return ShuffleElem._fresh(out)
 
 
 def eval_free(datum: QuantumDatum, f: FreeElem) -> ShuffleElem:
@@ -161,7 +161,7 @@ def braided_coproduct(s: ShuffleElem, reduced: bool = False) -> BraidedTensor:
     drop = 1 if reduced else 0
     for z, c in s.terms.items():
         add_terms(out, (((z[:i], z[i:]), c) for i in range(drop, len(z) - drop + 1)))
-    return BraidedTensor(out)
+    return BraidedTensor._fresh(out)
 
 
 def tensor_of(left: ShuffleElem, right: ShuffleElem) -> BraidedTensor:
@@ -170,7 +170,7 @@ def tensor_of(left: ShuffleElem, right: ShuffleElem) -> BraidedTensor:
     for zl, cl in left.terms.items():
         for zr, cr in right.terms.items():
             out[(zl, zr)] = cl * cr
-    return BraidedTensor(out)
+    return BraidedTensor._fresh(out)
 
 
 def tensor_project_pair(t: BraidedTensor, left_deg: Sequence[int],
@@ -178,7 +178,7 @@ def tensor_project_pair(t: BraidedTensor, left_deg: Sequence[int],
     """Sub-sum with both component multidegrees prescribed."""
     n = len(right_deg)
     wl, wr = tuple(left_deg), tuple(right_deg)
-    return BraidedTensor({
+    return BraidedTensor._fresh({
         k: c for k, c in t.terms.items()
         if comonomial_degree(k[0], n) == wl and comonomial_degree(k[1], n) == wr
     })

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qborel.coeffring import (DivisionByZero, LaurentPoly, MissingAssignment,
-                              NonDivisible, PolyParseError, VarSet,
-                              VarSetMismatch, ZeroAssignment, add_terms,
-                              parse_poly)
+from qborel.coeffring import (EXP_LIMIT, DivisionByZero, ExponentOutOfRange,
+                              LaurentPoly, MissingAssignment, NonDivisible,
+                              PolyParseError, VarSet, VarSetMismatch,
+                              ZeroAssignment, add_terms, parse_poly)
 
 VS = VarSet(2)  # variables q, t_1_2
 Q = LaurentPoly.q(VS)
@@ -176,3 +176,224 @@ def test_constant_hashes_as_its_integer():
     assert len({LaurentPoly.one(VS), 1}) == 1
     assert hash(LaurentPoly.integer(VS, -7)) == hash(-7)
     assert hash(LaurentPoly.zero(VS)) == hash(0)
+
+
+def test_distinct_varsets_of_one_rank_mix():
+    other = VarSet(2)
+    assert other is not VS
+    assert LaurentPoly.q(other) + T == Q + T
+    assert LaurentPoly.q(other) * T == Q * T
+    assert LaurentPoly.q(other) == Q
+
+
+# -- the exponent range of packed keys ---------------------------------------
+
+def test_exponent_range_guard():
+    assert issubclass(ExponentOutOfRange, ValueError)  # the CLI exits 2 on it
+    with pytest.raises(ExponentOutOfRange):
+        LaurentPoly.q(VS, 2 ** 40)
+    with pytest.raises(ExponentOutOfRange):
+        LaurentPoly(VS, {(0, -EXP_LIMIT - 1): 1})
+    with pytest.raises(ExponentOutOfRange):
+        parse_poly("q^99999999999", VS)
+    top = LaurentPoly.q(VS, EXP_LIMIT)
+    for overflow in (lambda: top * Q, lambda: top / Q.inverse(),
+                     lambda: (top + 1) * (Q + 1), lambda: top.inverse() * Q.inverse()):
+        with pytest.raises(ExponentOutOfRange):
+            overflow()
+
+
+def test_power_past_the_range_fails_fast(monkeypatch):
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    for exp in (2 ** 30, -(2 ** 30), 10 ** 18):
+        calls.clear()
+        with pytest.raises(ExponentOutOfRange):
+            Q ** exp
+        # at most a square and a product per bit below 2^30, not 2^30 steps
+        assert len(calls) <= 60
+
+
+def test_exponents_just_inside_the_range():
+    p = LaurentPoly.q(VS, EXP_LIMIT) * T ** -EXP_LIMIT
+    assert p.terms == {VS.pack((EXP_LIMIT, -EXP_LIMIT)): 1}
+    assert VS.unpack(VS.pack((EXP_LIMIT, -EXP_LIMIT))) == (EXP_LIMIT, -EXP_LIMIT)
+    assert parse_poly(str(p), VS) == p
+    assert str(p) == f"q^{EXP_LIMIT}*t_1_2^-{EXP_LIMIT}"
+    assert p * p.inverse() == ONE
+    assert Q ** EXP_LIMIT == LaurentPoly.q(VS, EXP_LIMIT)
+    # the sum of the operands' bounds passes the limit, the result does not
+    top = LaurentPoly.q(VS, EXP_LIMIT)
+    assert top * Q.inverse() * Q == top
+    assert (top + 1) * (Q.inverse() - 1) == LaurentPoly.q(VS, EXP_LIMIT - 1) - top + Q.inverse() - 1
+
+
+# -- packed keys against a tuple-exponent reference --------------------------
+
+VS4 = VarSet(4)  # q and the six t_ij: 7 variables
+EDGE = (-EXP_LIMIT, 1 - EXP_LIMIT, EXP_LIMIT - 1, EXP_LIMIT)
+
+
+def term_dicts(edge=False):
+    exp = st.integers(-2, 2)
+    if edge:
+        exp = st.one_of(exp, st.sampled_from(EDGE))
+    return st.dictionaries(st.tuples(*[exp] * VS4.nvars),
+                           st.integers(-4, 4).filter(bool), max_size=4)
+
+
+def as_tuples(p):
+    return {VS4.unpack(k): c for k, c in p.terms.items()}
+
+
+def ref_merge(pairs):
+    out = {}
+    for e, c in pairs:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_add(a, b):
+    return ref_merge([*a.items(), *b.items()])
+
+
+def ref_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def ref_mul(a, b):
+    return ref_merge((tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                     for ea, ca in a.items() for eb, cb in b.items())
+
+
+def ref_inverse(a):
+    (e, c), = a.items()
+    return {tuple(-x for x in e): c}
+
+
+def ref_evaluate(a, point):
+    total = Fraction(0)
+    for e, c in a.items():
+        term = Fraction(c)
+        for v, x in zip(point, e):
+            term *= v ** x
+        total += term
+    return total
+
+
+def ref_div(a, b):
+    """The quotient a / b in Z[x^+-1], or None if there is none.
+
+    Shifts both to polynomials with zero minimum exponents, then runs long
+    division over Q in pure lex order (Python tuple order); the first
+    leading term that lex(b) does not divide leaves a nonzero remainder.
+    """
+    if not a:
+        return {}
+    sa = [min(col) for col in zip(*a)]
+    sb = [min(col) for col in zip(*b)]
+    rem = {tuple(x - s for x, s in zip(e, sa)): Fraction(c) for e, c in a.items()}
+    bb = {tuple(x - s for x, s in zip(e, sb)): c for e, c in b.items()}
+    lb = max(bb)
+    quo = {}
+    while rem:
+        lead = max(rem)
+        d = tuple(x - y for x, y in zip(lead, lb))
+        if min(d) < 0:
+            return None
+        f = rem[lead] / bb[lb]
+        quo[d] = f
+        rem = ref_merge([*rem.items(), *((tuple(x + y for x, y in zip(d, e)), -f * c)
+                                         for e, c in bb.items())])
+    if any(f.denominator != 1 for f in quo.values()):
+        return None
+    return {tuple(x + s - t for x, s, t in zip(e, sa, sb)): int(f) for e, f in quo.items()}
+
+
+def out_of_range(terms):
+    return any(abs(x) > EXP_LIMIT for e in terms for x in e)
+
+
+def test_packed_key_is_the_documented_sum():
+    for e in [(0,) * 7, (1, -1, 0, 2, -2, 0, 1), (EXP_LIMIT, -EXP_LIMIT, *EDGE, 0)]:
+        key = VS4.pack(e)
+        assert key == sum(x << (32 * v) for v, x in enumerate(e))
+        assert VS4.unpack(key) == e
+    with pytest.raises(ValueError):
+        VS4.pack((1, 2))
+
+
+@given(term_dicts(), term_dicts(), st.lists(st.integers(1, 4).map(Fraction)
+                                            | st.integers(-3, -1).map(Fraction),
+                                            min_size=7, max_size=7))
+@settings(max_examples=150)
+def test_packed_matches_tuple_reference(da, db, point):
+    a, b = LaurentPoly(VS4, da), LaurentPoly(VS4, db)
+    assert as_tuples(a) == da
+    assert as_tuples(a + b) == ref_add(da, db)
+    assert as_tuples(a - b) == ref_add(da, ref_neg(db))
+    assert as_tuples(-a) == ref_neg(da)
+    assert as_tuples(a * b) == ref_mul(da, db)
+    assert a.evaluate(dict(zip(VS4.names, point))) == ref_evaluate(da, point)
+    if a.is_unit():
+        assert as_tuples(a.inverse()) == ref_inverse(da)
+    assert str(parse_poly(str(a), VS4)) == str(a)
+    assert len({LaurentPoly.one(VS4), 1}) == 1
+    if not db:
+        return
+    # divisible: on the monomial path when b has one term, else the general one
+    assert ref_div(ref_mul(da, db), db) == da
+    assert (a * b) / b == a
+    # arbitrary pairs raise NonDivisible exactly where the reference finds no quotient
+    want = ref_div(da, db)
+    if want is None:
+        with pytest.raises(NonDivisible):
+            a / b
+    else:
+        assert as_tuples(a / b) == want
+
+
+def check_product(x, dx, y, dy):
+    """x * y equals the reference product, or raises if that leaves the range."""
+    want = ref_mul(dx, dy)
+    if out_of_range(want):
+        with pytest.raises(ExponentOutOfRange):
+            x * y
+        return False
+    assert as_tuples(x * y) == want
+    return True
+
+
+@given(term_dicts(edge=True), term_dicts(edge=True))
+@settings(max_examples=150)
+def test_packed_guard_matches_tuple_reference(da, db):
+    a, b = LaurentPoly(VS4, da), LaurentPoly(VS4, db)
+    assert as_tuples(a + b) == ref_add(da, db)
+    assert as_tuples(-a) == ref_neg(da)
+    # results of +, - and inverse feed the guard of the next product
+    check_product(a + b, ref_add(da, db), b, db)
+    check_product(-b, ref_neg(db), a, da)
+    if a.is_unit():
+        assert as_tuples(a.inverse()) == ref_inverse(da)
+        check_product(a.inverse(), ref_inverse(da), a.inverse(), ref_inverse(da))
+    if check_product(a, da, b, db):
+        check_product(a * b, ref_mul(da, db), b, db)
+        if db:
+            assert (a * b) / b == a
+    if len(db) == 1:
+        want = ref_div(da, db)
+        if want is None:
+            with pytest.raises(NonDivisible):
+                a / b
+        elif out_of_range(want):
+            with pytest.raises(ExponentOutOfRange):
+                a / b
+        else:
+            assert as_tuples(a / b) == want
+            check_product(a / b, want, b, db)

@@ -103,6 +103,19 @@ def test_sparse_types_stay_apart():
             assert (a == b) == (a is b)
 
 
+def test_public_constructors_drop_zero_scalars():
+    # results of ring operations skip the zero filter; caller data never does
+    for datum in (C2, make_datum("C", 2, "numeric")):
+        zero = datum.zero()
+        assert ShuffleElem({(1,): zero}) == ShuffleElem.zero()
+        assert ShuffleElem({(1,): zero}).terms == {}
+        assert ShuffleElem.comonomial(datum, (1, 2), zero).terms == {}
+        assert FreeElem.word((1, 2), zero).terms == {}
+        a = ShuffleElem({(1,): zero, (2,): datum.one()})
+        assert a.terms == {(2,): datum.one()}
+        assert (a - a).terms == {} and type(a - a) is ShuffleElem
+
+
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=6))
 @settings(max_examples=60)
 def test_coassociativity(letters):
