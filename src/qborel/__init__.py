@@ -10,7 +10,8 @@ from .datum import (IndexOutOfRange, InvalidRank,
 from .freeword import (FreeElem, NonHomogeneousOperand, pbw_bracketing,
                        qq_bracket, skew_bracket)
 from .shuffle import (BraidedTensor, ShuffleElem, braided_coproduct,
-                      eval_free, shuffle_letter_mul)
+                      eval_free, shuffle_bracket, shuffle_letter_mul,
+                      shuffle_mul)
 from .pbwgen import (PBWGenerator, alpha, closed_form_image, generator_image,
                      pbw_generators, tau_table)
 from .verify import (CoproductFormula, NonProportionalProjection,

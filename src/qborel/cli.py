@@ -24,8 +24,7 @@ import sys
 from .coeffring import NonDivisible
 from .datum import (IndexOutOfRange, InvalidRank,
                     NumericAssignmentHitsExcludedRoot, make_datum)
-from .freeword import FreeElem, qq_bracket, skew_bracket
-from .shuffle import eval_free
+from .shuffle import ShuffleElem, shuffle_bracket
 from .verify import (NonProportionalProjection, SUITES, coproduct_formula,
                      run_suites, verify_pbw_independence)
 
@@ -43,6 +42,9 @@ class BracketSyntaxError(ValueError):
 # expr := "x" INT | "[" expr "," expr "]" | "qb(" expr "," expr ")"
 # Whitespace-insensitive; leaves are bound to letters of the active datum
 # only when the expression is evaluated.
+
+MAX_EXPR_DEPTH = 200  # parsing and binding recurse once per level
+
 
 def parse_expr(text: str):
     parser = _ExprParser(text)
@@ -71,7 +73,7 @@ class _ExprParser:
             raise BracketSyntaxError(f"expected {ch!r}", self.pos)
         self.pos += 1
 
-    def expr(self):
+    def expr(self, depth: int = 0):
         ch = self.peek()
         if ch == "x":
             self.pos += 1
@@ -81,11 +83,14 @@ class _ExprParser:
             if self.pos == start:
                 raise BracketSyntaxError("expected a letter index", start)
             return ("x", int(self.text[start:self.pos]))
+        if ch in ("[", "q") and depth == MAX_EXPR_DEPTH:
+            raise BracketSyntaxError(
+                f"brackets nested deeper than {MAX_EXPR_DEPTH}", self.pos)
         if ch == "[":
             self.pos += 1
-            lhs = self.expr()
+            lhs = self.expr(depth + 1)
             self.expect(",")
-            rhs = self.expr()
+            rhs = self.expr(depth + 1)
             self.expect("]")
             return ("skew", lhs, rhs)
         if ch == "q":
@@ -93,24 +98,22 @@ class _ExprParser:
                 raise BracketSyntaxError("expected 'qb('", self.pos)
             self.pos += 2
             self.expect("(")
-            lhs = self.expr()
+            lhs = self.expr(depth + 1)
             self.expect(",")
-            rhs = self.expr()
+            rhs = self.expr(depth + 1)
             self.expect(")")
             return ("qq", lhs, rhs)
         raise BracketSyntaxError("expected 'x', '[' or 'qb('", self.pos)
 
 
-def bind_expr(datum, tree) -> FreeElem:
-    """Bind a parsed expression to the datum; letter range checked here."""
-    kind = tree[0]
-    if kind == "x":
-        return FreeElem.letter(datum, tree[1])
+def bind_expr(datum, tree) -> ShuffleElem:
+    """The shuffle image of a parsed expression; letter range checked here."""
+    if tree[0] == "x":
+        return ShuffleElem.letter(datum, tree[1])
     lhs = bind_expr(datum, tree[1])
     rhs = bind_expr(datum, tree[2])
-    if kind == "skew":
-        return skew_bracket(datum, lhs, rhs)
-    return qq_bracket(datum, lhs, rhs)
+    factor = datum.q_power(-1) if tree[0] == "qq" else None
+    return shuffle_bracket(datum, lhs, rhs, factor)
 
 
 # -- command implementations ---------------------------------------------------
@@ -136,6 +139,8 @@ def _emit(args, text_lines, json_doc) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     datum = _make_datum_for(args)
     reports = run_suites(datum, args.suite, seed=args.seed,
                          max_degree=args.max_degree, count=args.count)
@@ -175,9 +180,7 @@ def _cmd_coproduct(args) -> int:
 
 def _cmd_eval(args) -> int:
     datum = _make_datum_for(args)
-    tree = parse_expr(args.expr)
-    elem = bind_expr(datum, tree)
-    image = eval_free(datum, elem)
+    image = bind_expr(datum, parse_expr(args.expr))
     doc = {
         "command": "eval",
         "series": args.series,

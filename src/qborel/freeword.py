@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .coeffring import LinComb, add_terms
-from .datum import IndexOutOfRange, QuantumDatum
+from .datum import QuantumDatum
 
 Word = tuple  # tuple of extended letter indices
 
@@ -69,8 +69,8 @@ class FreeElem(LinComb):
         return " + ".join(bits)
 
 
-def multidegree(datum: QuantumDatum, f: FreeElem) -> tuple | None:
-    """Common multidegree of all words of f, or None for the zero element."""
+def multidegree(datum: QuantumDatum, f: LinComb) -> tuple | None:
+    """Common multidegree of all words (or comonomials) of f, or None for 0."""
     deg = None
     for w in f.terms:
         d = datum.multidegree(w)
@@ -116,16 +116,6 @@ def right_nested(datum: QuantumDatum, factors: Sequence[FreeElem]) -> FreeElem:
     return out
 
 
-def bracket_factors(datum: QuantumDatum, factors: Sequence[FreeElem],
-                    split: int) -> FreeElem:
-    """[[y_1 ... y_s], [y_{s+1} ... y_l]] with left-nested inner brackets."""
-    if not (1 <= split < len(factors)):
-        raise IndexOutOfRange(f"split {split} outside 1..{len(factors) - 1}")
-    return skew_bracket(datum,
-                        left_nested(datum, factors[:split]),
-                        left_nested(datum, factors[split:]))
-
-
 def _letters(datum: QuantumDatum, word: Word) -> list:
     return [FreeElem.letter(datum, i) for i in word]
 
@@ -150,52 +140,6 @@ def pbw_bracketing(datum: QuantumDatum, k: int, m: int) -> FreeElem:
         return right_nested(datum, _letters(datum, word))
     return qq_bracket(datum, pbw_bracketing(datum, k, m - 1),
                       FreeElem.letter(datum, m))
-
-
-def arrangement_factors(datum: QuantumDatum, k: int, m: int) -> list:
-    """Factor sequence whose bracket arrangement does not matter.
-
-    Below rank-crossing intervals the raw letters qualify; for k < n < m
-    the crossing is packaged into a single already-bracketed factor
-    (y = v[k,n-1] resp. e[k,n] on the left, v/e[n+1,m] on the right).
-    Not defined at m = phi(k), where only the double bracket applies.
-    """
-    n = datum.n
-    word = datum.series_word(k, m)
-    if datum.series == "A" or m <= n or k >= n:
-        return _letters(datum, word)
-    if m == datum.phi(k):
-        raise IndexOutOfRange("no arrangement statement at m = phi(k)")
-    if m < datum.phi(k):
-        if datum.series == "C":
-            head, tail_from = pbw_bracketing(datum, k, n - 1), n
-        else:
-            head, tail_from = pbw_bracketing(datum, k, n), n + 1
-        return [head] + [FreeElem.letter(datum, t) for t in range(tail_from, m + 1)]
-    # m > phi(k)
-    tail = pbw_bracketing(datum, n + 1, m)
-    if datum.series == "C":
-        head_letters = list(range(k, n + 1))
-    else:
-        head_letters = list(range(k, n - 1)) + [n]
-    return [FreeElem.letter(datum, t) for t in head_letters] + [tail]
-
-
-def recursion_bracketing(datum: QuantumDatum, k: int, m: int) -> FreeElem:
-    """Alternative bracketing by the standard-word recurrences.
-
-    For k < n < m < phi(k):  [x_k [w(k+1, m)]] when m < phi(k) - 1 and
-    [[w(k, m-1)] x_m] when m = phi(k) - 1; bottoms out in pbw_bracketing
-    once the interval stops crossing the fold.
-    """
-    n = datum.n
-    if datum.series == "A" or m <= n or k >= n or m >= datum.phi(k):
-        return pbw_bracketing(datum, k, m)
-    if m < datum.phi(k) - 1:
-        return skew_bracket(datum, FreeElem.letter(datum, k),
-                            recursion_bracketing(datum, k + 1, m))
-    return skew_bracket(datum, recursion_bracketing(datum, k, m - 1),
-                        FreeElem.letter(datum, m))
 
 
 def word_greater(u: Word, v: Word) -> bool:

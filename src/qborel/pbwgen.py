@@ -22,12 +22,12 @@ zero element.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from functools import cmp_to_key
+from dataclasses import dataclass
+from functools import cmp_to_key, partial, reduce
 
 from .datum import QuantumDatum
-from .freeword import FreeElem, pbw_bracketing, word_greater
-from .shuffle import ShuffleElem, shuffle_letter_mul
+from .freeword import word_greater
+from .shuffle import ShuffleElem, shuffle_bracket
 
 
 def epsilon(datum: QuantumDatum, k: int, m: int):
@@ -117,13 +117,11 @@ _image_cache: "weakref.WeakKeyDictionary[QuantumDatum, dict]" = \
 def generator_image(datum: QuantumDatum, k: int, m: int) -> ShuffleElem:
     """Shuffle image of pbw_bracketing(k, m), computed bracket by bracket.
 
-    Brackets in the bracketed word always pair an already-built element
-    with a single letter, so the image follows from the letter products
-    alone:  [E, x] maps to E(x) - p(E, x) (x)E and the double bracket
-    scales the second term by q^{-1}.  Agrees with
-    eval_free(pbw_bracketing(k, m)) exactly (tested), while staying
-    polynomial in the interval length.  Images are memoized per datum
-    (values are immutable, so sharing is safe).
+    Each bracket of the bracketed word is taken in the shuffle algebra,
+    [E, x] -> E * (x) - p(E, x) (x) * E, with the double bracket scaling
+    the second term by q^{-1}, so no free-algebra element is expanded.
+    Agrees with eval_free(pbw_bracketing(k, m)) exactly (tested).  Images
+    are memoized per datum (values are immutable, so sharing is safe).
     """
     cache = _image_cache.setdefault(datum, {})
     if (k, m) not in cache:
@@ -132,59 +130,27 @@ def generator_image(datum: QuantumDatum, k: int, m: int) -> ShuffleElem:
 
 
 def _generator_image(datum: QuantumDatum, k: int, m: int) -> ShuffleElem:
-    n = datum.n
-    if datum.series == "D" and k == m == n:
+    if datum.series == "D" and k == m == datum.n:
         return ShuffleElem.zero()
-    word = datum.series_word(k, m)
-    if len(word) == 1:
-        return ShuffleElem.letter(datum, word[0])
-
-    def bracket_with_letter(elem, deg, letter, qinv_factor=None):
-        phys = datum.physical(letter)
-        dletter = [0] * n
-        dletter[phys - 1] = 1
-        p = datum.p_deg(deg, dletter)
-        if qinv_factor is not None:
-            p = p * qinv_factor
-        return (shuffle_letter_mul(datum, "right", elem, letter)
-                - shuffle_letter_mul(datum, "left", elem, letter).scale(p))
-
-    def letter_bracket_with(elem, deg, letter):
-        phys = datum.physical(letter)
-        dletter = [0] * n
-        dletter[phys - 1] = 1
-        p = datum.p_deg(dletter, deg)
-        return (shuffle_letter_mul(datum, "left", elem, letter)
-                - shuffle_letter_mul(datum, "right", elem, letter).scale(p))
-
+    letters = [ShuffleElem.letter(datum, i) for i in datum.series_word(k, m)]
+    if len(letters) == 1:
+        return letters[0]
     if datum.series == "A" or m < datum.phi(k):
-        elem = ShuffleElem.letter(datum, word[0])
-        deg = list(datum.multidegree(word[:1]))
-        for letter in word[1:]:
-            elem = bracket_with_letter(elem, deg, letter)
-            deg[datum.physical(letter) - 1] += 1
-        return elem
+        return reduce(partial(shuffle_bracket, datum), letters)
     if m > datum.phi(k):
-        elem = ShuffleElem.letter(datum, word[-1])
-        deg = list(datum.multidegree(word[-1:]))
-        for letter in reversed(word[:-1]):
-            elem = letter_bracket_with(elem, deg, letter)
-            deg[datum.physical(letter) - 1] += 1
-        return elem
+        return reduce(lambda e, x: shuffle_bracket(datum, x, e), reversed(letters))
     # m == phi(k): double bracket of the left-nested prefix with x_m
-    prefix = generator_image(datum, k, m - 1)
-    deg = datum.multidegree(datum.series_word(k, m - 1))
-    return bracket_with_letter(prefix, deg, m, qinv_factor=datum.q_power(-1))
+    return shuffle_bracket(datum, generator_image(datum, k, m - 1), letters[-1],
+                           datum.q_power(-1))
 
 
 @dataclass(frozen=True)
 class PBWGenerator:
-    """One PBW generator: interval, underlying word, bracketed element."""
+    """One PBW generator: its interval and underlying word."""
 
     k: int
     m: int
     word: tuple
-    element: FreeElem = field(compare=False)
 
     @property
     def degree(self) -> int:
@@ -215,8 +181,7 @@ def pbw_generators(datum: QuantumDatum) -> list:
     """
     gens = []
     for k, m in pbw_intervals(datum):
-        word = datum.series_word(k, m)
-        gens.append(PBWGenerator(k, m, word, pbw_bracketing(datum, k, m)))
+        gens.append(PBWGenerator(k, m, datum.series_word(k, m)))
 
     def cmp(a: PBWGenerator, b: PBWGenerator) -> int:
         wa = tuple(datum.physical(i) for i in a.word)

@@ -1,18 +1,18 @@
-"""The braided shuffle algebra: letter products, evaluation, coproduct.
+"""The braided shuffle algebra: products, evaluation, coproduct.
 
 A comonomial (z_1 z_2 ... z_m) is the tensor z_1 (x) ... (x) z_m viewed as
 an element of the shuffle algebra; it is stored as the tuple of physical
-letter indices, since folded letters denote the same generator.  The letter
-products follow
-
-    (w)(x_i) = sum_{uv=w} p(x_i, v)^{-1} (u x_i v),
-    (x_i)(w) = sum_{uv=w} p(u, x_i)^{-1} (u x_i v),
-
-and the braided coproduct is deconcatenation over all split points.  The
-map x_i -> (x_i) extends to the evaluation homomorphism from free-algebra
+letter indices, since folded letters denote the same generator.  The
+braided (quantum) shuffle product of Rosso sums over all shuffles of two
+comonomials u and v, and a shuffle pays p(y, x)^{-1} for every letter y of
+v that lands before a letter x of u; with v a single letter this is the
+right letter product (w)(x_i) = sum_{uv=w} p(x_i, v)^{-1} (u x_i v).  The
+braided coproduct is deconcatenation over all split points.  The map
+x_i -> (x_i) extends to the evaluation homomorphism from free-algebra
 elements, computed by grouping words on their last letter so that each
 letter product acts on an already merged sum (``eval_word`` keeps the
-word-by-word reference).
+word-by-word reference).  Since evaluation is a homomorphism, a bracket
+tree is evaluated bracket by bracket in the shuffle algebra instead.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .coeffring import LinComb, add_terms
 from .datum import QuantumDatum
-from .freeword import FreeElem
+from .freeword import FreeElem, multidegree
 
 
 class ShuffleElem(LinComb):
@@ -67,66 +67,106 @@ def comonomial_degree(z: tuple, n: int) -> tuple:
     return tuple(deg)
 
 
-def shuffle_letter_mul(datum: QuantumDatum, side: str, w: ShuffleElem,
-                       i: int) -> ShuffleElem:
-    """Right product (w)(x_i) or left product (x_i)(w), per the split rule."""
+def shuffle_letter_mul(datum: QuantumDatum, w: ShuffleElem, i: int) -> ShuffleElem:
+    """The right letter product (w)(x_i), per the split rule."""
     phys = datum.physical(i)
     out: dict = {}
-    if side == "right":
-        # (u x_i v) pays p(x_i, v)^{-1}: one more letter of v per split leftwards
-        inv = (None,) + datum._p_inv[phys - 1]
-        for z, c in w.terms.items():
-            add_terms(out, zip((z[:s] + (phys,) + z[s:] for s in range(len(z), -1, -1)),
-                               accumulate(map(inv.__getitem__, reversed(z)), mul, initial=c)))
-    elif side == "left":
-        # (u x_i v) pays p(u, x_i)^{-1}: one more letter of u per split rightwards
-        inv = (None,) + tuple(row[phys - 1] for row in datum._p_inv)
-        for z, c in w.terms.items():
-            add_terms(out, zip((z[:s] + (phys,) + z[s:] for s in range(len(z) + 1)),
-                               accumulate(map(inv.__getitem__, z), mul, initial=c)))
-    else:
-        raise ValueError("side must be 'right' or 'left'")
+    # (u x_i v) pays p(x_i, v)^{-1}: one more letter of v per split leftwards
+    inv = (None,) + datum._p_inv[phys - 1]
+    for z, c in w.terms.items():
+        add_terms(out, zip((z[:s] + (phys,) + z[s:] for s in range(len(z), -1, -1)),
+                           accumulate(map(inv.__getitem__, reversed(z)), mul, initial=c)))
     return ShuffleElem._fresh(out)
+
+
+def shuffle_mul(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem) -> ShuffleElem:
+    """The braided shuffle product a * b.
+
+    The letters of the shorter comonomial of each pair are placed into the
+    longer one, so a letter operand costs one scalar product per output
+    term, as the letter product does.
+    """
+    rows = datum._p_inv
+    cols = tuple(zip(*rows))
+    out: dict = {}
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            if len(v) <= len(u):
+                # y of v placed before u[s:] pays p(y, u[s:])^{-1}
+                add_terms(out, _placements(u, v, rows, cu * cv))
+            else:
+                # x of u placed after v[:s] pays p(v[:s], x)^{-1}: the same
+                # rule on the reversed words, with p transposed
+                add_terms(out, ((z[::-1], c) for z, c in
+                                _placements(v[::-1], u[::-1], cols, cu * cv)))
+    return ShuffleElem._fresh(out)
+
+
+def _placements(base: tuple, ins: tuple, rows, c):
+    """(word, c times weight) for each placement of ins, in order, into base.
+
+    A letter y placed before base[s:] weighs rows[y-1][z-1] for each
+    letter z of base[s:].
+    """
+    if not ins:
+        yield base, c
+        return
+    y, rest = ins[0], ins[1:]
+    row = (None,) + rows[y - 1]
+    # s runs down from the end of base, one more letter of base[s:] per step
+    for s, cs in zip(range(len(base), -1, -1),
+                     accumulate(map(row.__getitem__, reversed(base)), mul, initial=c)):
+        for tail, ct in _placements(base[s:], rest, rows, cs):
+            yield base[:s] + (y,) + tail, ct
+
+
+def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
+                    factor=None) -> ShuffleElem:
+    """a * b - factor p(a, b) b * a for homogeneous a, b (factor 1 if None).
+
+    The image of the skew bracket [u, v] is shuffle_bracket(eval(u),
+    eval(v)), and that of the double bracket takes factor = q^{-1}.
+    """
+    da, db = multidegree(datum, a), multidegree(datum, b)
+    if da is None or db is None:
+        return ShuffleElem.zero()
+    p = datum.p_deg(da, db)
+    if factor is not None:
+        p = factor * p
+    return shuffle_mul(datum, a, b) - shuffle_mul(datum, b, a).scale(p)
 
 
 def eval_word(datum: QuantumDatum, word: Sequence[int]) -> ShuffleElem:
     """Image of one word: ((...((x_{z_1})(x_{z_2}))...)(x_{z_l}))."""
     out = ShuffleElem.unit(datum)
     for letter in word:
-        out = shuffle_letter_mul(datum, "right", out, letter)
+        out = shuffle_letter_mul(datum, out, letter)
     return out
 
 
-def act_free(datum: QuantumDatum, s: ShuffleElem, f: FreeElem) -> ShuffleElem:
-    """The right action s . eval(f), grouping the words of f on their last letter.
+def eval_free(datum: QuantumDatum, f: FreeElem) -> ShuffleElem:
+    """The evaluation homomorphism x_i -> (x_i), extended linearly.
 
-    Since eval is a homomorphism, s . eval(sum_w c_w w'x) equals
-    (s . eval(sum_w c_w w'))(x) for each last letter x, and the empty word
-    contributes c s.  The prefixes sharing a (physical) last letter are
-    merged into one canonical sum before the letter product, so terms cancel
-    early instead of after every word is shuffled out on its own.
+    Since eval is a homomorphism, eval(sum_w c_w w'x) equals
+    (eval(sum_w c_w w'))(x) for each last letter x, and the empty word
+    contributes c.  The prefixes sharing a (physical) last letter are
+    merged into one canonical sum before the letter product, so terms
+    cancel early instead of after every word is shuffled out on its own.
     """
-    return _act(datum, s, f.terms)
+    return _eval_terms(datum, f.terms)
 
 
-def _act(datum: QuantumDatum, s: ShuffleElem, terms: dict) -> ShuffleElem:
-    out: dict = {}
+def _eval_terms(datum: QuantumDatum, terms: dict) -> ShuffleElem:
+    out = {(): terms[()]} if () in terms else {}
     groups: dict = {}
     for w, c in terms.items():
-        if not w:
-            add_terms(out, s.scale(c).terms.items())
-            continue
-        add_terms(groups.setdefault(datum.physical(w[-1]), {}), ((w[:-1], c),))
+        if w:
+            add_terms(groups.setdefault(datum.physical(w[-1]), {}), ((w[:-1], c),))
     for x, prefixes in groups.items():
         if prefixes:
-            img = shuffle_letter_mul(datum, "right", _act(datum, s, prefixes), x)
+            img = shuffle_letter_mul(datum, _eval_terms(datum, prefixes), x)
             add_terms(out, img.terms.items())
     return ShuffleElem._fresh(out)
-
-
-def eval_free(datum: QuantumDatum, f: FreeElem) -> ShuffleElem:
-    """The evaluation homomorphism x_i -> (x_i), extended linearly."""
-    return act_free(datum, ShuffleElem.unit(datum), f)
 
 
 class BraidedTensor(LinComb):

@@ -16,15 +16,16 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial, reduce
 
 from .coeffring import NonDivisible
 from .datum import QuantumDatum, make_datum, sigma, sigma_closed_form
-from .freeword import (FreeElem, arrangement_factors, bracket_factors,
-                       left_nested, multidegree, recursion_bracketing,
-                       right_nested, skew_bracket)
+from .freeword import (FreeElem, left_nested, multidegree, right_nested,
+                       skew_bracket)
 from .pbwgen import generator_image, pbw_generators, pbw_intervals, tau_table
-from .shuffle import (BraidedTensor, ShuffleElem, act_free, braided_coproduct,
-                      eval_free, tensor_of, tensor_project_pair)
+from .shuffle import (BraidedTensor, ShuffleElem, braided_coproduct, eval_free,
+                      shuffle_bracket, shuffle_mul, tensor_of,
+                      tensor_project_pair)
 
 
 class NonProportionalProjection(ArithmeticError):
@@ -191,19 +192,58 @@ def _arrangement_intervals(datum: QuantumDatum) -> list:
     return out
 
 
+def _arrangement_factors(datum: QuantumDatum, k: int, m: int) -> list:
+    """Images of a factor sequence whose bracket arrangement does not matter.
+
+    Below rank-crossing intervals the raw letters qualify; for k < n < m
+    the crossing is packaged into a single already-bracketed factor
+    (y = v[k,n-1] resp. e[k,n] on the left, v/e[n+1,m] on the right).
+    Not defined at m = phi(k), where only the double bracket applies.
+    """
+    n = datum.n
+    if datum.series == "A" or m <= n or k >= n:
+        return [ShuffleElem.letter(datum, t) for t in datum.series_word(k, m)]
+    if m < datum.phi(k):
+        top = n - 1 if datum.series == "C" else n
+        return ([generator_image(datum, k, top)]
+                + [ShuffleElem.letter(datum, t) for t in range(top + 1, m + 1)])
+    # m > phi(k): the letters of v/e(k,n), then v/e[n+1,m]
+    return ([ShuffleElem.letter(datum, t) for t in datum.series_word(k, n)]
+            + [generator_image(datum, n + 1, m)])
+
+
+def _recursion_image(datum: QuantumDatum, k: int, m: int) -> ShuffleElem:
+    """Image of the bracketing by the standard-word recurrences.
+
+    For k < n < m < phi(k):  [x_k [w(k+1, m)]] when m < phi(k) - 1 and
+    [[w(k, m-1)] x_m] when m = phi(k) - 1; bottoms out in generator_image
+    once the interval stops crossing the fold.
+    """
+    n = datum.n
+    if datum.series == "A" or m <= n or k >= n or m >= datum.phi(k):
+        return generator_image(datum, k, m)
+    if m < datum.phi(k) - 1:
+        return shuffle_bracket(datum, ShuffleElem.letter(datum, k),
+                               _recursion_image(datum, k + 1, m))
+    return shuffle_bracket(datum, _recursion_image(datum, k, m - 1),
+                           ShuffleElem.letter(datum, m))
+
+
 def verify_arrangements(datum: QuantumDatum) -> VerificationReport:
     """Every admissible split yields the same shuffle image, and the
     recurrence bracketings reproduce the canonical images."""
     t0 = time.monotonic()
     cases = []
     sym = "e" if datum.series == "D" else "v"
+    bracket = partial(shuffle_bracket, datum)
     for k, m in _arrangement_intervals(datum):
         reference = generator_image(datum, k, m)
-        factors = arrangement_factors(datum, k, m)
+        factors = _arrangement_factors(datum, k, m)
         ok = True
         witness = None
         for s in range(1, len(factors)):
-            img = eval_free(datum, bracket_factors(datum, factors, s))
+            # [[y_1 ... y_s], [y_{s+1} ... y_l]], both sides left-nested
+            img = bracket(reduce(bracket, factors[:s]), reduce(bracket, factors[s:]))
             if img != reference:
                 ok = False
                 witness = f"split {s}: " + _shuffle_witness(img, reference)
@@ -214,7 +254,7 @@ def verify_arrangements(datum: QuantumDatum) -> VerificationReport:
     for k in range(1, n):
         for m in range(n + 1, datum.phi(k)):
             reference = generator_image(datum, k, m)
-            img = eval_free(datum, recursion_bracketing(datum, k, m))
+            img = _recursion_image(datum, k, m)
             ok = img == reference
             cases.append(CaseResult(
                 f"recurrence {sym}[{k},{m}]", ok,
@@ -624,9 +664,9 @@ def _modp_first_dependent(rows: list, p: int):
 def pbw_product_rows(datum: QuantumDatum, max_degree: int):
     """Shuffle images of all ordered PBW power products of bounded degree.
 
-    Each product's image is its parent's image acted on by one more copy of
-    the last nonzero factor.  Returns (combos, generator labels, rows) where
-    each row maps comonomials to rational coefficients.
+    Each product's image is its parent's image times the image of one more
+    copy of the last nonzero factor.  Returns (combos, generator labels,
+    rows) where each row maps comonomials to rational coefficients.
     """
     gens = pbw_generators(datum)
     combos = _enumerate_exponents([g.degree for g in gens], max_degree)
@@ -640,7 +680,8 @@ def pbw_product_rows(datum: QuantumDatum, max_degree: int):
             # the parent drops one copy of the last factor; lex order lists it first
             j = nonzero[-1]
             parent = combo[:j] + (combo[j] - 1,) + combo[j + 1:]
-            img = act_free(datum, images[parent], gens[j].element)
+            img = shuffle_mul(datum, images[parent],
+                              generator_image(datum, gens[j].k, gens[j].m))
         images[combo] = img
         rows.append(img.terms)
     labels = [g.label for g in gens]

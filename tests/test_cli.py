@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from qborel.cli import (BracketSyntaxError, bind_expr, parse_expr,
-                        run_command)
+from qborel.cli import (MAX_EXPR_DEPTH, BracketSyntaxError, bind_expr,
+                        parse_expr, run_command)
 from qborel.coeffring import parse_poly
 from qborel.datum import IndexOutOfRange, make_datum
 from qborel.freeword import FreeElem, qq_bracket, skew_bracket
+from qborel.shuffle import eval_free
 
 
 def test_parse_expr_examples():
@@ -32,9 +33,53 @@ def test_bind_expr():
     d = make_datum("C", 2)
     tree = parse_expr("qb([x1,x2],x3)")
     x1, x2, x3 = (FreeElem.letter(d, i) for i in (1, 2, 3))
-    assert bind_expr(d, tree) == qq_bracket(d, skew_bracket(d, x1, x2), x3)
+    assert bind_expr(d, tree) == \
+        eval_free(d, qq_bracket(d, skew_bracket(d, x1, x2), x3))
+    tree = parse_expr("[[x1,x2],[x2,qb(x3,x1)]]")
+    want = skew_bracket(d, skew_bracket(d, x1, x2),
+                        skew_bracket(d, x2, qq_bracket(d, x3, x1)))
+    assert bind_expr(d, tree) == eval_free(d, want)
     with pytest.raises(IndexOutOfRange):
         bind_expr(d, parse_expr("x9"))
+
+
+def chain(depth):
+    """The left-nested chain [[...[x1,x2],x2]...,x2] of the given depth."""
+    return "[" * depth + "x1" + ",x2]" * depth
+
+
+def test_parse_expr_depth_limit(capsys):
+    inside = parse_expr(chain(MAX_EXPR_DEPTH))
+    for _ in range(MAX_EXPR_DEPTH):
+        assert inside[0] == "skew" and inside[2] == ("x", 2)
+        inside = inside[1]
+    assert inside == ("x", 1)
+    with pytest.raises(BracketSyntaxError) as err:
+        parse_expr(chain(MAX_EXPR_DEPTH + 1))
+    assert err.value.offset == MAX_EXPR_DEPTH
+    with pytest.raises(BracketSyntaxError) as err:
+        parse_expr("qb(" * MAX_EXPR_DEPTH + "[x1,x1]" + ",x1)" * MAX_EXPR_DEPTH)
+    assert err.value.offset == 3 * MAX_EXPR_DEPTH
+    # far past the limit the command still exits as a usage error
+    assert run_command(["eval", "--series", "C", "--rank", "2",
+                        "--expr", chain(3000)]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
+def test_eval_does_not_expand(monkeypatch, capsys):
+    # [[x1,x2],x2] is a Serre relation of C_2, so the chain's image is 0;
+    # expanding its free-algebra form would take 2^60 words
+    def refuse(self, other):
+        raise AssertionError("free-algebra product called")
+
+    monkeypatch.setattr(FreeElem, "__mul__", refuse)
+    code = run_command(["eval", "--series", "C", "--rank", "2",
+                        "--expr", chain(60)])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "0"
+    assert run_command(["eval", "--series", "C", "--rank", "2",
+                        "--expr", chain(MAX_EXPR_DEPTH)]) == 0
+    assert capsys.readouterr().out.strip() == "0"
 
 
 def test_eval_command(capsys):
@@ -127,6 +172,16 @@ def test_usage_errors(capsys):
                         "--expr", "x9"]) == 2
     assert run_command(["verify", "--series", "C", "--rank", "1",
                         "--suite", "all"]) == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-4"])
+def test_verify_count_must_be_positive(count, capsys):
+    code = run_command(["verify", "--series", "C", "--rank", "2",
+                        "--suite", "identities", "--count", count])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--count" in captured.err and "at least 1" in captured.err
 
 
 def test_out_file(tmp_path, capsys):

@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 
 from qborel.coeffring import LaurentPoly
 from qborel.datum import IndexOutOfRange, make_datum
-from qborel.freeword import (FreeElem, NonHomogeneousOperand,
-                             arrangement_factors, bracket_factors,
-                             left_nested, multidegree, pbw_bracketing,
-                             qq_bracket, recursion_bracketing, skew_bracket,
+from qborel.freeword import (FreeElem, NonHomogeneousOperand, multidegree,
+                             pbw_bracketing, qq_bracket, skew_bracket,
                              word_greater)
-from qborel.shuffle import eval_free
 
 C2 = make_datum("C", 2)
 C3 = make_datum("C", 3)
@@ -137,29 +134,3 @@ def test_word_order():
     assert word_greater((1, 2), (1, 2, 1))
     assert not word_greater((1, 2), (1, 2))
     assert not word_greater((2, 1), (1, 2))
-
-
-def split_bracketing(datum, k, m, split):
-    return bracket_factors(datum, arrangement_factors(datum, k, m), split)
-
-
-def test_bracketing_variant_splits():
-    # length-2 word: the unique split is the plain skew bracket
-    assert split_bracketing(C3, 1, 2, 1) == \
-        skew_bracket(C3, x(C3, 1), x(C3, 2))
-    # two splits of x_1 x_2 x_3 differ as free elements, agree in the image
-    a = split_bracketing(C3, 1, 3, 1)
-    b = split_bracketing(C3, 1, 3, 2)
-    assert a != b
-    assert eval_free(C3, a) == eval_free(C3, b)
-
-
-def test_bracketing_variant_recursion():
-    got = recursion_bracketing(C3, 1, 4)
-    assert eval_free(C3, got) == eval_free(C3, pbw_bracketing(C3, 1, 4))
-
-
-def test_bracket_factors_matches_left_nested():
-    factors = [x(C3, i) for i in (1, 2, 3)]
-    assert bracket_factors(C3, factors, 2) == \
-        skew_bracket(C3, left_nested(C3, factors[:2]), factors[2])

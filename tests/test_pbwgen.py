@@ -120,7 +120,7 @@ def test_pbw_generator_order():
 
 def test_pbw_generators_have_elements():
     for g in pbw_generators(D3):
-        assert g.element == pbw_bracketing(D3, g.k, g.m)
+        assert g.word == D3.series_word(g.k, g.m)
         assert g.degree == len(g.word)
 
 

@@ -3,11 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qborel.datum import make_datum
-from qborel.freeword import FreeElem, skew_bracket
+from qborel.freeword import (FreeElem, NonHomogeneousOperand, pbw_bracketing,
+                             qq_bracket, skew_bracket)
 from qborel.shuffle import (BraidedTensor, ShuffleElem, braided_coproduct,
                             comonomial_degree, eval_free, eval_word,
-                            shuffle_letter_mul, tensor_of,
-                            tensor_project_pair)
+                            shuffle_bracket, shuffle_letter_mul, shuffle_mul,
+                            tensor_of, tensor_project_pair)
 from qborel.pbwgen import pbw_generators
 from qborel.verify import pbw_product_rows
 
@@ -29,19 +30,19 @@ def mono(datum, letters, coeff=None):
 
 
 def test_letter_mul_right():
-    got = shuffle_letter_mul(C2, "right", mono(C2, (2,)), 1)
+    got = shuffle_letter_mul(C2, mono(C2, (2,)), 1)
     want = mono(C2, (2, 1)) + mono(C2, (1, 2), C2.p_phys_inv(1, 2))
     assert got == want
 
 
 def test_letter_mul_left():
-    got = shuffle_letter_mul(C2, "left", mono(C2, (2,)), 1)
+    got = shuffle_mul(C2, ShuffleElem.letter(C2, 1), mono(C2, (2,)))
     want = mono(C2, (1, 2)) + mono(C2, (2, 1), C2.p_phys_inv(2, 1))
     assert got == want
 
 
 def test_letter_mul_empty():
-    got = shuffle_letter_mul(C2, "right", ShuffleElem.unit(C2), 2)
+    got = shuffle_letter_mul(C2, ShuffleElem.unit(C2), 2)
     assert got == mono(C2, (2,))
 
 
@@ -138,13 +139,13 @@ def test_coassociativity(letters):
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=5))
 @settings(max_examples=60)
 def test_left_right_build_consistency(letters):
-    # building the word image left-to-right with right products equals
-    # building it right-to-left with left products
+    # building the word image left-to-right with right letter products
+    # equals building it right-to-left with products by a letter on the left
     w = tuple(letters)
     right_built = eval_word(C3, w)
     left_built = ShuffleElem.unit(C3)
     for letter in reversed(w):
-        left_built = shuffle_letter_mul(C3, "left", left_built, letter)
+        left_built = shuffle_mul(C3, ShuffleElem.letter(C3, letter), left_built)
     assert right_built == left_built
 
 
@@ -155,11 +156,10 @@ def test_associativity_letter_triples():
             for j in letters:
                 for k in letters:
                     xi = mono(datum, (i,))
-                    ab = shuffle_letter_mul(datum, "right", xi, j)
-                    lhs = shuffle_letter_mul(datum, "right", ab, k)
-                    bc = shuffle_letter_mul(
-                        datum, "right", mono(datum, (j,)), k)
-                    rhs = shuffle_letter_mul(datum, "left", bc, i)
+                    ab = shuffle_letter_mul(datum, xi, j)
+                    lhs = shuffle_letter_mul(datum, ab, k)
+                    bc = shuffle_letter_mul(datum, mono(datum, (j,)), k)
+                    rhs = shuffle_mul(datum, xi, bc)
                     assert lhs == rhs, (datum.series, i, j, k)
 
 
@@ -180,7 +180,7 @@ def test_eval_is_multiplicative():
     v = FreeElem.word((3,), C3.one())
     lhs = eval_free(C3, u * v)
     rhs = eval_word(C3, (1, 2))
-    rhs = shuffle_letter_mul(C3, "right", rhs, 3)
+    rhs = shuffle_letter_mul(C3, rhs, 3)
     assert lhs == rhs
 
 
@@ -200,15 +200,13 @@ def eval_by_words(datum, f):
     return total
 
 
-@given(st.sampled_from(sorted(ORACLE_DATA)), st.data())
-@settings(max_examples=150, deadline=None)
-def test_eval_free_matches_word_by_word(name, data):
-    datum = ORACLE_DATA[name]
+def random_free(datum, data, max_len=5, max_terms=8):
+    """A sum of random words, some with a folded twin of opposite sign."""
     top = datum.max_letter
     entries = data.draw(st.lists(
-        st.tuples(st.lists(st.integers(1, top), max_size=5),
+        st.tuples(st.lists(st.integers(1, top), max_size=max_len),
                   st.integers(-3, 3), st.integers(-2, 2), st.booleans()),
-        max_size=8))
+        max_size=max_terms))
     f = FreeElem.zero()
     for word, c, e, twin in entries:
         coeff = datum.integer(c) * datum.q_power(e)
@@ -219,7 +217,62 @@ def test_eval_free_matches_word_by_word(name, data):
             folded = tuple(i if datum.series == "A" else 2 * datum.n - i
                            for i in word)
             f = f - FreeElem.word(folded, coeff)
+    return f
+
+
+def random_homogeneous(datum, data, max_len=4):
+    """A sum of rearrangements of one random word, so all share a degree."""
+    word = data.draw(st.lists(st.integers(1, datum.max_letter), max_size=max_len))
+    f = FreeElem.zero()
+    for _ in range(data.draw(st.integers(1, 3))):
+        c, e = data.draw(st.integers(-3, 3)), data.draw(st.integers(-2, 2))
+        f = f + FreeElem.word(data.draw(st.permutations(word)),
+                              datum.integer(c) * datum.q_power(e))
+    return f
+
+
+@given(st.sampled_from(sorted(ORACLE_DATA)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_eval_free_matches_word_by_word(name, data):
+    datum = ORACLE_DATA[name]
+    f = random_free(datum, data)
     assert eval_free(datum, f) == eval_by_words(datum, f)
+
+
+@given(st.sampled_from(sorted(ORACLE_DATA)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_shuffle_mul_is_the_product_of_images(name, data):
+    # eval is a homomorphism: eval(w) * eval(w') = eval(w w'), checked
+    # against the word-by-word reference on single words and on sums
+    datum = ORACLE_DATA[name]
+    top = datum.max_letter
+    u = tuple(data.draw(st.lists(st.integers(1, top), max_size=5)))
+    v = tuple(data.draw(st.lists(st.integers(1, top), max_size=5)))
+    assert shuffle_mul(datum, eval_word(datum, u), eval_word(datum, v)) == \
+        eval_word(datum, u + v)
+    f = random_free(datum, data, max_len=3, max_terms=3)
+    g = random_free(datum, data, max_len=3, max_terms=3)
+    assert shuffle_mul(datum, eval_by_words(datum, f), eval_by_words(datum, g)) == \
+        eval_by_words(datum, f * g)
+
+
+@given(st.sampled_from(sorted(ORACLE_DATA)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_shuffle_bracket_is_the_image_of_the_bracket(name, data):
+    datum = ORACLE_DATA[name]
+    u = random_homogeneous(datum, data)
+    v = random_homogeneous(datum, data)
+    eu, ev = eval_free(datum, u), eval_free(datum, v)
+    assert shuffle_bracket(datum, eu, ev) == eval_free(datum, skew_bracket(datum, u, v))
+    assert shuffle_bracket(datum, eu, ev, datum.q_power(-1)) == \
+        eval_free(datum, qq_bracket(datum, u, v))
+
+
+def test_shuffle_bracket_needs_homogeneous_operands():
+    mixed = mono(C2, (1,)) + mono(C2, (2,))
+    with pytest.raises(NonHomogeneousOperand):
+        shuffle_bracket(C2, mixed, mono(C2, (1,)))
+    assert shuffle_bracket(C2, ShuffleElem.zero(), mono(C2, (1,))).is_zero()
 
 
 @pytest.mark.parametrize("d", [C2, D3], ids=lambda d: f"{d.series}{d.n}")
@@ -230,5 +283,5 @@ def test_pbw_rows_match_expansion(d):
         elem = FreeElem({(): d.one()})
         for g, e in zip(gens, combo):
             if e:
-                elem = elem * g.element ** e
+                elem = elem * pbw_bracketing(d, g.k, g.m) ** e
         assert row == eval_by_words(d, elem).terms, combo
