@@ -6,9 +6,10 @@ Every suite returns a :class:`VerificationReport`; a failing case always
 carries a witness (the first differing term or tensor).  All checks are
 exact: symbolic data compare Laurent polynomials, numeric data compare
 rationals, and independence is certified through full rank of an exact
-evaluation matrix (full rank modulo a large prime bounds the rational rank
-from below, so the certificate direction is exact; deficiency at a point is
-never taken as a falsification).
+evaluation matrix.  That matrix is built in GF(p) for a large prime p, from
+the rational point reduced mod p: full rank modulo p bounds the rational
+rank from below, so the certificate direction is exact; deficiency at a
+point is never taken as a falsification.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from functools import partial, reduce
 
 from .coeffring import NonDivisible
-from .datum import QuantumDatum, make_datum, sigma, sigma_closed_form
+from .datum import (NonUnitModP, QuantumDatum, make_datum, reduce_mod, sigma,
+                    sigma_closed_form)
 from .freeword import (FreeElem, left_nested, multidegree, right_nested,
                        skew_bracket)
 from .pbwgen import generator_image, pbw_generators, pbw_intervals, tau_table
@@ -666,7 +668,9 @@ def pbw_product_rows(datum: QuantumDatum, max_degree: int):
 
     Each product's image is its parent's image times the image of one more
     copy of the last nonzero factor.  Returns (combos, generator labels,
-    rows) where each row maps comonomials to rational coefficients.
+    rows) where each row maps comonomials to nonzero scalars of the datum:
+    Laurent polynomials, rationals, or residues for a datum from
+    ``reduce_mod``.
     """
     gens = pbw_generators(datum)
     combos = _enumerate_exponents([g.degree for g in gens], max_degree)
@@ -692,10 +696,13 @@ def verify_pbw_independence(datum: QuantumDatum, max_degree: int,
                             seed: int = 0) -> VerificationReport:
     """Certify linear independence of ordered PBW products of bounded degree.
 
-    Evaluates every ordered product at a rational point, assembles the exact
-    coefficient matrix over the comonomial basis, and certifies full row
-    rank: full rank modulo a large prime is a lower bound for the rational
-    rank, so the certificate is exact.  A deficient point is retried at a
+    Reduces a rational point modulo a large prime, builds every ordered
+    product's shuffle image over GF(prime), and certifies full row rank of
+    the coefficient matrix over the comonomial basis: since reduction mod
+    the prime is a ring map on the point, full rank there is a lower bound
+    for the rational rank, so the certificate is exact.  The comonomial
+    count counts the columns with a nonzero residue.  A deficient point,
+    or one with q or some p_ij not a unit mod the prime, is retried at a
     second seed (and a different prime) before the suite reports failure,
     since deficiency at a point never falsifies generic independence.
     """
@@ -709,15 +716,19 @@ def verify_pbw_independence(datum: QuantumDatum, max_degree: int,
             point = datum
         else:
             point = make_datum(datum.series, datum.n, "numeric", seed=at_seed)
+        p = _RANK_PRIMES[attempt % len(_RANK_PRIMES)]
+        try:
+            point = reduce_mod(point, p)
+        except NonUnitModP as exc:
+            attempts.append(CaseResult(f"rank at seed {at_seed}: point does not reduce mod {p}",
+                                       False, f"NonUnitModP: {exc}"))
+            continue
         combos, labels, rows = pbw_product_rows(point, max_degree)
         columns = sorted({z for row in rows for z in row},
                          key=lambda z: (len(z), z))
         col_index = {z: idx for idx, z in enumerate(columns)}
-        p = _RANK_PRIMES[attempt % len(_RANK_PRIMES)]
-        # the point is numeric, so every coefficient is a Fraction
-        residue_rows = [{col_index[z]: c.numerator * pow(c.denominator, p - 2, p)
-                         for z, c in row.items()} for row in rows]
-        rank, dep = _modp_first_dependent(residue_rows, p)
+        rank, dep = _modp_first_dependent(
+            [{col_index[z]: c.value for z, c in row.items()} for row in rows], p)
         name = (f"rank at seed {at_seed}: {rank}/{len(rows)} products, "
                 f"{len(columns)} comonomials, degree <= {max_degree}")
         if dep is None:

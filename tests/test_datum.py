@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import qborel
 from qborel.coeffring import LaurentPoly, MissingAssignment, ZeroAssignment
-from qborel.datum import (IndexOutOfRange, InvalidRank,
+from qborel.coeffring import residue_field
+from qborel.datum import (IndexOutOfRange, InvalidRank, NonUnitModP,
                           NumericAssignmentHitsExcludedRoot, make_datum, mu,
-                          sigma, sigma_closed_form)
+                          reduce_mod, sigma, sigma_closed_form)
 
 C2 = make_datum("C", 2)
 C3 = make_datum("C", 3)
@@ -97,6 +98,39 @@ def test_numeric_datum_at_a_given_point():
         make_datum("C", 2, "numeric", assignment={"q": 1, "t_1_2": 0})
     with pytest.raises(ZeroAssignment):
         make_datum("C", 2, "numeric", assignment={"q": 2, "t_1_2": 0})
+
+
+@pytest.mark.parametrize("series", ["C", "D"])
+def test_reduce_mod_keeps_the_relations(series):
+    prime = 2147483629
+    field = residue_field(prime)
+    point = make_datum(series, 4, "numeric", seed=2)
+    d = reduce_mod(point, prime)
+    d._verify_relations()
+    assert (d.series, d.n, d.mode, d.assignment) == (series, 4, "numeric", point.assignment)
+    assert type(d.q) is field and d.q == 9 and d.one() == 1 and not d.zero()
+    for row, rational_row, inv_row in zip(d.p, point.p, d._p_inv):
+        for x, r, inv in zip(row, rational_row, inv_row):
+            assert type(x) is field and x * r.denominator == r.numerator
+            assert x * inv == 1
+
+
+def test_reduce_mod_refuses_non_units():
+    prime = 101
+    # t_1_2 = 101: p_1_2 has numerator 101 and p_2_1 = q^-2 / t_1_2 denominator 101
+    d = make_datum("C", 2, "numeric", assignment={"q": 5, "t_1_2": 101})
+    with pytest.raises(NonUnitModP, match="p_1_2 = 101 is not a unit mod 101"):
+        reduce_mod(d, prime)
+    d = make_datum("C", 2, "numeric", assignment={"q": 5, "t_1_2": Fraction(1, 202)})
+    with pytest.raises(NonUnitModP, match="p_1_2 = 1/202 is not a unit mod 101"):
+        reduce_mod(d, prime)
+    d = make_datum("C", 2, "numeric", assignment={"q": Fraction(3, 101), "t_1_2": 7})
+    with pytest.raises(NonUnitModP, match="q = 3/101 is not a unit mod 101"):
+        reduce_mod(d, prime)
+    # the same points reduce modulo another prime
+    assert reduce_mod(d, 103).q.value == 3 * pow(101, -1, 103) % 103
+    with pytest.raises(ValueError):
+        reduce_mod(make_datum("C", 2), prime)
 
 
 def test_letters_and_folding():

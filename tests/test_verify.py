@@ -1,10 +1,13 @@
 import pytest
 
+from fractions import Fraction
+
 from qborel import verify
-from qborel.datum import make_datum
+from qborel.datum import NonUnitModP, make_datum, reduce_mod
 from qborel.shuffle import BraidedTensor
-from qborel.verify import (NonProportionalProjection, _modp_first_dependent,
-                           coproduct_formula,
+from qborel.verify import (_RANK_PRIMES, NonProportionalProjection,
+                           _modp_first_dependent, coproduct_formula,
+                           pbw_product_rows,
                            run_suites, serre_relations,
                            verify_an_no_exceptions, verify_arrangements,
                            verify_coproducts, verify_identity_suite,
@@ -157,6 +160,39 @@ def test_modp_first_dependent():
 def test_pbw_independence_numeric_datum():
     d = make_datum("C", 2, "numeric")
     assert verify_pbw_independence(d, 3, seed=0).passed
+
+
+@pytest.mark.parametrize("series, n, degree", [("C", 2, 6), ("C", 3, 6),
+                                               ("D", 3, 5), ("D", 4, 5)])
+def test_pbw_rows_mod_p_are_residues_of_rational_rows(series, n, degree):
+    prime = _RANK_PRIMES[0]
+    point = make_datum(series, n, "numeric", seed=1)
+    rational = pbw_product_rows(point, degree)
+    residues = pbw_product_rows(reduce_mod(point, prime), degree)
+    assert residues[:2] == rational[:2]
+    assert len(residues[2]) == len(rational[2])
+    for got, want in zip(residues[2], rational[2]):
+        want = {z: c.numerator * pow(c.denominator, -1, prime) % prime
+                for z, c in want.items()}
+        assert {z: c.value for z, c in got.items()} == {
+            z: c for z, c in want.items() if c}
+    # a point whose rows have no residues is refused, not reduced
+    bad = dict(point.assignment, t_1_2=Fraction(1, prime))
+    with pytest.raises(NonUnitModP):
+        reduce_mod(make_datum(series, n, "numeric", assignment=bad), prime)
+
+
+def test_pbw_independence_retries_a_point_that_does_not_reduce():
+    # p_1_2 = t_1_2 is the first rank prime itself
+    d = make_datum("C", 2, "numeric", assignment={"q": 5, "t_1_2": 2147483647})
+    report = verify_pbw_independence(d, 4, seed=0)
+    first, retry = report.cases
+    assert not first.passed
+    assert first.name == "rank at seed 0: point does not reduce mod 2147483647"
+    assert first.witness == ("NonUnitModP: p_1_2 = 2147483647 is not a unit "
+                             "mod 2147483647")
+    assert retry.passed
+    assert retry.name == "rank at seed 1: 25/25 products, 31 comonomials, degree <= 4"
 
 
 def test_pbw_independence_degree_one():
