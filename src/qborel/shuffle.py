@@ -48,16 +48,28 @@ class ShuffleElem(LinComb):
         return sorted(self.terms.items(), key=lambda it: (len(it[0]), it[0]))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for z, c in self.sorted_terms():
-            cs = str(c)
-            if " + " in cs or " - " in cs:
-                cs = f"({cs})"
-            mono = "(" + " ".join(f"x{i}" for i in z) + ")" if z else "(1)"
-            bits.append(f"{cs} * {mono}")
-        return " + ".join(bits)
+        return _sum_str(self.sorted_terms(), comonomial_str)
+
+
+def comonomial_str(z: tuple) -> str:
+    """The text (x1 x2 ...) of a comonomial; (1) for the empty one."""
+    return "(" + " ".join(f"x{i}" for i in z) + ")" if z else "(1)"
+
+
+def tensor_pair_str(key: tuple) -> str:
+    """The text (left)(x)(right) of a (left, right) comonomial pair."""
+    return "(x)".join(map(comonomial_str, key))
+
+
+def _sum_str(items, render) -> str:
+    """c * key + ... with each sum-valued c in parentheses; 0 if empty."""
+    bits = []
+    for key, c in items:
+        cs = str(c)
+        if " + " in cs or " - " in cs:
+            cs = f"({cs})"
+        bits.append(f"{cs} * {render(key)}")
+    return " + ".join(bits) or "0"
 
 
 def comonomial_degree(z: tuple, n: int) -> tuple:
@@ -179,17 +191,7 @@ class BraidedTensor(LinComb):
                       key=lambda it: (len(it[0][0]), it[0][0], len(it[0][1]), it[0][1]))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (l, r), c in self.sorted_terms():
-            cs = str(c)
-            if " + " in cs or " - " in cs:
-                cs = f"({cs})"
-            lm = "(" + " ".join(f"x{i}" for i in l) + ")" if l else "(1)"
-            rm = "(" + " ".join(f"x{i}" for i in r) + ")" if r else "(1)"
-            bits.append(f"{cs} * {lm}(x){rm}")
-        return " + ".join(bits)
+        return _sum_str(self.sorted_terms(), tensor_pair_str)
 
 
 def braided_coproduct(s: ShuffleElem, reduced: bool = False) -> BraidedTensor:

@@ -285,3 +285,13 @@ def test_pbw_rows_match_expansion(d):
             if e:
                 elem = elem * pbw_bracketing(d, g.k, g.m) ** e
         assert row == eval_by_words(d, elem).terms, combo
+
+
+def test_text_forms():
+    c = C2.p_words((1,), (2,)) + C2.one()
+    assert " + " in str(c)                       # a sum is parenthesised
+    s = ShuffleElem({(): C2.one(), (1, 2): c})
+    assert str(s) == f"1 * (1) + ({c}) * (x1 x2)"
+    t = BraidedTensor({((1,), ()): C2.one(), ((), (2, 1)): c})
+    assert str(t) == f"({c}) * (1)(x)(x2 x1) + 1 * (x1)(x)(1)"
+    assert str(ShuffleElem.zero()) == str(BraidedTensor.zero()) == "0"

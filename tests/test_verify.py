@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
 from fractions import Fraction
 
-from qborel import verify
+from qborel import cli, verify
 from qborel.datum import NonUnitModP, make_datum, reduce_mod
+from qborel.pbwgen import tau_table
 from qborel.shuffle import BraidedTensor
 from qborel.verify import (_RANK_PRIMES, NonProportionalProjection,
                            _modp_first_dependent, coproduct_formula,
@@ -87,9 +90,48 @@ def test_coproduct_formula_rejects_an_uncovered_term(monkeypatch):
 
     monkeypatch.setattr(verify, "braided_coproduct", with_stray_term)
     for mode in ("assert", "discover"):
-        with pytest.raises(NonProportionalProjection, match="do not exhaust") as err:
+        with pytest.raises(NonProportionalProjection, match="do not sum to") as err:
             coproduct_formula(C3, 1, 5, mode=mode)
         assert "at (x1)(x)(x1 x1 x1): (absent) != 1" in str(err.value)
+
+
+def _double_coproduct_at(monkeypatch, pair):
+    """Make verify's braided coproduct double its coefficient at ``pair``."""
+    real = verify.braided_coproduct
+
+    def doubled(s, reduced=False):
+        t = real(s, reduced)
+        if pair in t.terms:
+            t.terms[pair] = t.terms[pair] * 2
+        return t
+
+    monkeypatch.setattr(verify, "braided_coproduct", doubled)
+
+
+def test_coproduct_formula_rejects_a_non_proportional_split(monkeypatch):
+    # e[1,7] in D_4 has two comonomials, so split 1's tensor has two pairs;
+    # discover reads gamma_1 at the first, and only the final equality
+    # sees the second
+    pair = ((1, 2, 3, 4, 2), (1,))
+    c = coproduct_formula(D4, 1, 7).braided.terms[pair]
+    _double_coproduct_at(monkeypatch, pair)
+    for mode in ("assert", "discover"):
+        with pytest.raises(NonProportionalProjection, match="do not sum to") as err:
+            coproduct_formula(D4, 1, 7, mode=mode)
+        assert f"at (x1 x2 x3 x4 x2)(x)(x1): {c} != {c * 2}" in str(err.value)
+
+
+def test_coproduct_discover_reads_a_doubled_split(monkeypatch):
+    # each split tensor of v[1,5] in C_3 is one pair, so doubling split 2's
+    # pair keeps the coproduct proportional: discover finds tau_2 doubled
+    taus = tau_table(C3, 1, 5)
+    _double_coproduct_at(monkeypatch, ((1, 2, 3), (2, 1)))
+    with pytest.raises(NonProportionalProjection, match="do not sum to"):
+        coproduct_formula(C3, 1, 5, mode="assert")
+    found = coproduct_formula(C3, 1, 5, mode="discover")
+    assert found.tau_map() == {**taus, 2: taus[2] * 2}
+    report = verify_coproducts(C3)
+    assert [c.name for c in report.failures()] == ["coproduct v[1,5]"]
 
 
 @pytest.mark.parametrize("d", [C2, C3, D3, D4], ids=lambda d: f"{d.series}{d.n}")
@@ -182,17 +224,24 @@ def test_pbw_rows_mod_p_are_residues_of_rational_rows(series, n, degree):
         reduce_mod(make_datum(series, n, "numeric", assignment=bad), prime)
 
 
-def test_pbw_independence_retries_a_point_that_does_not_reduce():
+def test_pbw_independence_retries_a_point_that_does_not_reduce(monkeypatch, capsys):
     # p_1_2 = t_1_2 is the first rank prime itself
     d = make_datum("C", 2, "numeric", assignment={"q": 5, "t_1_2": 2147483647})
     report = verify_pbw_independence(d, 4, seed=0)
     first, retry = report.cases
-    assert not first.passed
+    # the retry supersedes the first attempt, which keeps its witness
     assert first.name == "rank at seed 0: point does not reduce mod 2147483647"
     assert first.witness == ("NonUnitModP: p_1_2 = 2147483647 is not a unit "
                              "mod 2147483647")
     assert retry.passed
     assert retry.name == "rank at seed 1: 25/25 products, 31 comonomials, degree <= 4"
+    assert report.passed
+    monkeypatch.setattr(cli, "_make_datum_for", lambda args: d)
+    code = cli.run_command(["pbw", "--series", "C", "--rank", "2",
+                            "--max-degree", "4", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["passed"]
+    assert doc["report"]["cases"][0]["witness"] == first.witness
 
 
 def test_pbw_independence_degree_one():
