@@ -153,9 +153,6 @@ class QuantumDatum:
     def p_phys(self, i: int, j: int):
         return self.p[i - 1][j - 1]
 
-    def p_phys_inv(self, i: int, j: int):
-        return self._p_inv[i - 1][j - 1]
-
     def p_letters(self, i: int, j: int):
         """p at the physical indices of two (possibly folded) letters."""
         return self.p[self.physical(i) - 1][self.physical(j) - 1]

@@ -134,6 +134,41 @@ def test_coproduct_discover_reads_a_doubled_split(monkeypatch):
     assert [c.name for c in report.failures()] == ["coproduct v[1,5]"]
 
 
+@pytest.mark.parametrize("mode", ["Discover", None, ""])
+def test_coproduct_formula_rejects_an_unknown_mode(monkeypatch, mode):
+    def no_work(*args, **kwargs):
+        pytest.fail("coproduct computed before the mode was checked")
+
+    monkeypatch.setattr(verify, "braided_coproduct", no_work)
+    with pytest.raises(ValueError, match="'assert' or 'discover'"):
+        coproduct_formula(C2, 1, 3, mode=mode)
+
+
+def test_coproduct_suite_catches_a_wrong_closed_form(monkeypatch):
+    # the suite runs discover only, so a wrong tau table must still fail it
+    real = verify.tau_table
+    tau_2 = real(C3, 1, 5)[2]
+
+    def wrong(datum, k, m):
+        taus = real(datum, k, m)
+        if (datum.series, datum.n, k, m) == ("C", 3, 1, 5):
+            taus = {**taus, 2: taus[2] * 2}
+        return taus
+
+    monkeypatch.setattr(verify, "tau_table", wrong)
+    report = verify_coproducts(C3)
+    assert [c.name for c in report.failures()] == ["coproduct v[1,5]"]
+    assert report.failures()[0].witness == f"at tau_2: {tau_2} != {tau_2 * 2}"
+
+
+def test_an_cross_check_catches_a_non_unit_tau(monkeypatch):
+    # v[1,3] in A_3: doubling split 2's one pair makes discover find tau_2 = 2
+    _double_coproduct_at(monkeypatch, ((3,), (2, 1)))
+    report = verify_an_no_exceptions(make_datum("A", 3))
+    assert [c.name for c in report.failures()] == ["v[1,3]"]
+    assert report.failures()[0].witness == "at tau_2: 2 != 1"
+
+
 @pytest.mark.parametrize("d", [C2, C3, D3, D4], ids=lambda d: f"{d.series}{d.n}")
 def test_coproduct_suite(d):
     report = verify_coproducts(d)
