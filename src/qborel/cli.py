@@ -11,8 +11,9 @@ Subcommands::
     pbw       --series ... --rank ... --max-degree D [--seed S] [--format ...]
 
 Exit codes: 0 all cases pass, 1 mathematical failure (with witness),
-2 usage error.  JSON output is a single document per run, with every
-polynomial rendered in its canonical string form.
+2 usage error, including an ``--out`` file that cannot be written.  JSON
+output is a single document per run, with every polynomial rendered in its
+canonical string form.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def run_command(argv=None) -> int:
     try:
         return args.fn(args)
     except (BracketSyntaxError, IndexOutOfRange, InvalidRank,
-            NumericAssignmentHitsExcludedRoot, ValueError) as exc:
+            NumericAssignmentHitsExcludedRoot, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ tree is evaluated bracket by bracket in the shuffle algebra instead.
 
 from __future__ import annotations
 
+import re
 from itertools import accumulate
 from operator import mul
 from typing import Sequence
@@ -66,7 +67,9 @@ def _sum_str(items, render) -> str:
     bits = []
     for key, c in items:
         cs = str(c)
-        if " + " in cs or " - " in cs:
+        # several top-level summands: a sign not leading, not after ^ and
+        # not inside parentheses
+        if re.search(r"[^^][+-]", re.sub(r"\([^()]*\)", "", cs)):
             cs = f"({cs})"
         bits.append(f"{cs} * {render(key)}")
     return " + ".join(bits) or "0"

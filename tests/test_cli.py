@@ -83,11 +83,16 @@ def test_eval_does_not_expand(monkeypatch, capsys):
 
 
 def test_eval_command(capsys):
-    code = run_command(["eval", "--series", "C", "--rank", "2",
-                        "--expr", "[x1,x2]"])
-    out = capsys.readouterr().out.strip()
-    assert code == 0
-    assert out == "(q^2-1)*t_1_2 * (x2 x1)"
+    for expr, want in [
+        ("[x1,x2]", "(q^2-1)*t_1_2 * (x2 x1)"),
+        # a q-only sum is parenthesised like a sum over t-monomials
+        ("[x1,x1]", "(-q+q^-1) * (x1 x1)"),
+        ("qb([x1,x2],x3)", "(q-1-q^-1+q^-2) * (x1 x2 x1)"),
+    ]:
+        code = run_command(["eval", "--series", "C", "--rank", "2",
+                            "--expr", expr])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == want
 
 
 def test_eval_command_json_roundtrip(capsys):
@@ -172,6 +177,9 @@ def test_usage_errors(capsys):
                         "--expr", "x9"]) == 2
     assert run_command(["verify", "--series", "C", "--rank", "1",
                         "--suite", "all"]) == 2
+    assert run_command(["verify", "--series", "A", "--rank", "3",
+                        "--suite", "arrangements"]) == 2
+    assert "series C or D" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("count", ["0", "-4"])
@@ -193,6 +201,13 @@ def test_out_file(tmp_path, capsys):
     doc = json.loads(target.read_text())
     assert doc["passed"] is True
     assert capsys.readouterr().out == ""
+    # a file that cannot be written is a usage error, not a failed check
+    target = tmp_path / "missing" / "report.json"
+    assert run_command(["verify", "--series", "C", "--rank", "2",
+                        "--suite", "sigma", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
 
 
 def test_numeric_mode_flag(capsys):

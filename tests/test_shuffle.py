@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -295,3 +297,11 @@ def test_text_forms():
     t = BraidedTensor({((1,), ()): C2.one(), ((), (2, 1)): c})
     assert str(t) == f"({c}) * (1)(x)(x2 x1) + 1 * (x1)(x)(1)"
     assert str(ShuffleElem.zero()) == str(BraidedTensor.zero()) == "0"
+    # a q-only sum prints without spaces but is parenthesised all the same;
+    # a lone term, a sign after ^ and a rational stay bare
+    u = C2.one() + C2.q_power(1)
+    assert str(u) == "q+1"
+    assert str(ShuffleElem({(1,): u, (2,): C2.q_power(-1)})) == \
+        "(q+1) * (x1) + q^-1 * (x2)"
+    assert str(ShuffleElem({(1,): -C2.q_power(-2)})) == "-q^-2 * (x1)"
+    assert str(ShuffleElem({(1,): Fraction(-3, 4)})) == "-3/4 * (x1)"

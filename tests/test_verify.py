@@ -51,6 +51,24 @@ def test_arrangement_suite(d):
     assert any("recurrence" in c.name for c in report.cases)
 
 
+def test_arrangement_intervals():
+    # m != phi(k) = 2n - k; k <= n <= m on series C, k < n < m on series D
+    assert verify._arrangement_intervals(C2) == [(1, 2), (2, 3)]
+    assert verify._arrangement_intervals(C3) == \
+        [(1, 3), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5)]
+    assert verify._arrangement_intervals(D4) == \
+        [(1, 5), (1, 6), (2, 5), (2, 7), (3, 6), (3, 7)]
+
+
+def test_arrangement_suite_refuses_series_a():
+    with pytest.raises(ValueError, match="series C or D"):
+        verify_arrangements(make_datum("A", 3))
+    # --suite all on series A still skips the suite
+    assert "arrangements" not in {
+        r.suite for r in run_suites(make_datum("A", 2), "all", count=1,
+                                    max_degree=2)}
+
+
 def test_coproduct_formula_c2():
     f = coproduct_formula(C2, 1, 3, mode="discover")
     assert f.tau_map() == {1: C2.one(), 2: C2.one()}
@@ -198,10 +216,15 @@ def test_an_cross_check():
         verify_an_no_exceptions(C2)
 
 
-def test_sigma_suite_flags_exemption():
+def test_sigma_suite_flags_exemption(monkeypatch):
     report = verify_sigma_closed_form(D4)
     assert report.passed
     assert any("exempt" in c.name for c in report.cases)
+    # the exempt pair compares with q like every other case
+    monkeypatch.setattr(verify, "sigma", lambda d, k, m: d.q_power(2))
+    exempt = [c for c in verify_sigma_closed_form(D4).cases if "exempt" in c.name]
+    assert [(c.name, c.passed, c.witness) for c in exempt] == \
+        [("sigma(4,4) [exempt: definitional value q]", False, "q^2 != q")]
 
 
 @pytest.mark.parametrize("d", [C3, D3], ids=lambda d: f"{d.series}{d.n}")
