@@ -7,8 +7,8 @@ from .coeffring import (LaurentPoly, VarSet, NonDivisible, DivisionByZero,
 from .datum import (IndexOutOfRange, InvalidRank,
                     NumericAssignmentHitsExcludedRoot, QuantumDatum,
                     make_datum, mu, sigma, sigma_closed_form)
-from .freeword import (FreeElem, NonHomogeneousOperand, pbw_bracketing,
-                       qq_bracket, skew_bracket)
+from .freeword import (FreeElem, NonHomogeneousOperand, bracketed_word,
+                       pbw_bracketing, skew_bracket)
 from .shuffle import (BraidedTensor, ShuffleElem, braided_coproduct,
                       eval_free, shuffle_bracket, shuffle_letter_mul,
                       shuffle_mul)

@@ -7,7 +7,8 @@ Subcommands::
               [--max-degree D] [--count C] [--format {text|json}] [--out FILE]
     coproduct --series ... --rank ... --k K --m M [--mode {assert|discover}]
               [--format {text|json}] [--out FILE]
-    eval      --series ... --rank ... --expr E [--format {text|json}]
+    eval      --series ... --rank ... --expr E [--mode {symbolic|numeric}]
+              [--format {text|json}]
     pbw       --series ... --rank ... --max-degree D [--seed S] [--format ...]
 
 Exit codes: 0 all cases pass, 1 mathematical failure (with witness),
@@ -142,6 +143,8 @@ def _emit(args, text_lines, json_doc) -> None:
 def _cmd_verify(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.max_degree < 1:
+        raise ValueError(f"--max-degree must be at least 1, got {args.max_degree}")
     datum = _make_datum_for(args)
     reports = run_suites(datum, args.suite, seed=args.seed,
                          max_degree=args.max_degree, count=args.count)
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("pbw", help="PBW independence certificate")
-    common(p)
+    common(p, with_mode=False)
     p.add_argument("--max-degree", type=int, default=4, dest="max_degree")
     p.set_defaults(fn=_cmd_pbw)
     return top
@@ -274,9 +277,6 @@ def run_command(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # symbolic mode maps to the multiparameter datum
-    if getattr(args, "mode", None) == "symbolic":
-        args.mode = "multiparameter"
     try:
         return args.fn(args)
     except (BracketSyntaxError, IndexOutOfRange, InvalidRank,

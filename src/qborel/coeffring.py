@@ -143,7 +143,7 @@ class LaurentPoly:
     tuples (one slot per variable, negative entries allowed).
     """
 
-    __slots__ = ("vs", "terms", "_bound", "_hash")
+    __slots__ = ("vs", "terms", "_bound")
 
     def __init__(self, vs: VarSet, terms: Mapping[tuple, int]):
         pack = vs.pack
@@ -151,7 +151,6 @@ class LaurentPoly:
         self.terms = {pack(e): c for e, c in terms.items() if c}
         # an upper bound on |exponent| over the terms, the range guard's input
         self._bound = _max_exponent(vs, self.terms)
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -282,14 +281,11 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         # a constant equals its integer (see __eq__), so it must hash like it
-        if self._hash is None:
-            if not self.terms:
-                self._hash = hash(0)
-            elif len(self.terms) == 1 and 0 in self.terms:
-                self._hash = hash(self.terms[0])
-            else:
-                self._hash = hash((self.vs, frozenset(self.terms.items())))
-        return self._hash
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and 0 in self.terms:
+            return hash(self.terms[0])
+        return hash((self.vs, frozenset(self.terms.items())))
 
     # -- division ----------------------------------------------------------
 
@@ -494,7 +490,6 @@ def _laurent(vs: VarSet, terms: dict, bound: int) -> LaurentPoly:
     p.vs = vs
     p.terms = terms
     p._bound = bound
-    p._hash = None
     return p
 
 

@@ -70,7 +70,8 @@ def cartan_data(series: str, n: int):
 
 
 def default_assignment(n: int, seed: int = 0) -> dict:
-    """Rational evaluation point: q = 5 and the t_ij at small odd primes.
+    """Rational evaluation point: q = 5, 7 or 9 by seed mod 3, and the t_ij
+    at small odd primes.
 
     Different seeds rotate through the prime pool so that a degenerate
     point can be retried at a genuinely different one.
@@ -269,8 +270,8 @@ def make_datum(series: str, n: int, mode: str = "multiparameter",
     multiparameter: p_ij = t_ij above the diagonal, p_ji forced.
     one-parameter:  substitutes t_ij = q^{d_i a_ij}, so p_ji = 1.
     numeric:        evaluates the multiparameter table at a rational point
-                    (default q = 5, t_ij small primes) with q not in {0, +-1}
-                    and q^3 != 1.
+                    (default q = 5, 7 or 9 by seed mod 3, t_ij small
+                    primes) with q not in {0, +-1} and q^3 != 1.
     """
     if series not in SERIES:
         raise ValueError(f"series must be one of {SERIES}")

@@ -9,11 +9,13 @@ elements is
     [u, v] = u v - p(u, v) v u,
 
 where p(u, v) depends only on the multidegrees, and the double bracket
-variant replaces p(u, v) by q^{-1} p(u, v).
+[[u, v]] scales p(u, v) by q^{-1}.  :func:`bracketed_word` states the
+nesting of the PBW generators once, for the free and the shuffle algebra.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Sequence
 
 from .coeffring import LinComb, add_terms
@@ -81,23 +83,20 @@ def multidegree(datum: QuantumDatum, f: LinComb) -> tuple | None:
     return deg
 
 
-def skew_bracket(datum: QuantumDatum, u: FreeElem, v: FreeElem) -> FreeElem:
-    """[u, v] = u v - p(u, v) v u for homogeneous u, v."""
+def skew_bracket(datum: QuantumDatum, u: FreeElem, v: FreeElem,
+                 factor=None) -> FreeElem:
+    """u v - factor p(u, v) v u for homogeneous u, v (factor 1 if None).
+
+    factor = q^{-1} gives the double bracket [[u, v]].
+    """
     du = multidegree(datum, u)
     dv = multidegree(datum, v)
     if du is None or dv is None:
         return FreeElem.zero()
-    return u * v - (v * u).scale(datum.p_deg(du, dv))
-
-
-def qq_bracket(datum: QuantumDatum, u: FreeElem, v: FreeElem) -> FreeElem:
-    """The double bracket u v - q^{-1} p(u, v) v u."""
-    du = multidegree(datum, u)
-    dv = multidegree(datum, v)
-    if du is None or dv is None:
-        return FreeElem.zero()
-    coeff = datum.q_power(-1) * datum.p_deg(du, dv)
-    return u * v - (v * u).scale(coeff)
+    p = datum.p_deg(du, dv)
+    if factor is not None:
+        p = factor * p
+    return u * v - (v * u).scale(p)
 
 
 def left_nested(datum: QuantumDatum, factors: Sequence[FreeElem]) -> FreeElem:
@@ -116,30 +115,35 @@ def right_nested(datum: QuantumDatum, factors: Sequence[FreeElem]) -> FreeElem:
     return out
 
 
-def _letters(datum: QuantumDatum, word: Word) -> list:
-    return [FreeElem.letter(datum, i) for i in word]
-
-
-def pbw_bracketing(datum: QuantumDatum, k: int, m: int) -> FreeElem:
+def bracketed_word(datum: QuantumDatum, k: int, m: int, letter, bracket,
+                   prefix):
     """The bracketed word v[k,m] (series A, C) or e[k,m] (series D).
 
     Left-nested below the fold (m < phi(k)), right-nested above it, and the
     double bracket [[.[k,m-1]., x_m]] exactly at m = phi(k).  Series D at
-    (n, n) degenerates to [[x_n, x_n]], which is identically zero.
+    (n, n) degenerates to [[x_n, x_n]], which is identically zero.  The
+    algebra is given by ``letter(datum, i)``, by ``bracket(datum, u, v,
+    factor)``, which scales p(u, v) by factor unless it is None, and by
+    ``prefix(datum, k, m - 1)``, the bracketed word [k, m-1] in it, so a
+    memoised caller reuses that image.
     """
-    n = datum.n
-    if datum.series == "D" and k == m == n:
-        x = FreeElem.letter(datum, n)
-        return qq_bracket(datum, x, x)
-    word = datum.series_word(k, m)
-    if len(word) == 1:
-        return FreeElem.letter(datum, word[0])
+    if datum.series == "D" and k == m == datum.n:
+        x = letter(datum, m)
+        return bracket(datum, x, x, datum.q_power(-1))
+    xs = [letter(datum, i) for i in datum.series_word(k, m)]
+    if len(xs) == 1:
+        return xs[0]
     if datum.series == "A" or m < datum.phi(k):
-        return left_nested(datum, _letters(datum, word))
+        return reduce(lambda e, x: bracket(datum, e, x), xs)
     if m > datum.phi(k):
-        return right_nested(datum, _letters(datum, word))
-    return qq_bracket(datum, pbw_bracketing(datum, k, m - 1),
-                      FreeElem.letter(datum, m))
+        return reduce(lambda e, x: bracket(datum, x, e), reversed(xs))
+    return bracket(datum, prefix(datum, k, m - 1), xs[-1], datum.q_power(-1))
+
+
+def pbw_bracketing(datum: QuantumDatum, k: int, m: int) -> FreeElem:
+    """v[k,m] or e[k,m] in the free algebra (see :func:`bracketed_word`)."""
+    return bracketed_word(datum, k, m, FreeElem.letter, skew_bracket,
+                          pbw_bracketing)
 
 
 def word_greater(u: Word, v: Word) -> bool:

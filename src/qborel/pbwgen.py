@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cmp_to_key, partial, reduce
+from functools import cmp_to_key
 
 from .datum import QuantumDatum
-from .freeword import word_greater
+from .freeword import bracketed_word, word_greater
 from .shuffle import ShuffleElem, shuffle_bracket
 
 
@@ -117,31 +117,16 @@ _image_cache: "weakref.WeakKeyDictionary[QuantumDatum, dict]" = \
 def generator_image(datum: QuantumDatum, k: int, m: int) -> ShuffleElem:
     """Shuffle image of pbw_bracketing(k, m), computed bracket by bracket.
 
-    Each bracket of the bracketed word is taken in the shuffle algebra,
-    [E, x] -> E * (x) - p(E, x) (x) * E, with the double bracket scaling
-    the second term by q^{-1}, so no free-algebra element is expanded.
-    Agrees with eval_free(pbw_bracketing(k, m)) exactly (tested).  Images
-    are memoized per datum (values are immutable, so sharing is safe).
+    The bracketed word is built from shuffle letters with shuffle_bracket,
+    [E, x] -> E * (x) - p(E, x) (x) * E, so no free-algebra element is
+    expanded.  Agrees with eval_free(pbw_bracketing(k, m)) exactly (tested).
+    Images are memoized per datum (values are immutable, so sharing is safe).
     """
     cache = _image_cache.setdefault(datum, {})
     if (k, m) not in cache:
-        cache[(k, m)] = _generator_image(datum, k, m)
+        cache[(k, m)] = bracketed_word(datum, k, m, ShuffleElem.letter,
+                                       shuffle_bracket, generator_image)
     return cache[(k, m)]
-
-
-def _generator_image(datum: QuantumDatum, k: int, m: int) -> ShuffleElem:
-    if datum.series == "D" and k == m == datum.n:
-        return ShuffleElem.zero()
-    letters = [ShuffleElem.letter(datum, i) for i in datum.series_word(k, m)]
-    if len(letters) == 1:
-        return letters[0]
-    if datum.series == "A" or m < datum.phi(k):
-        return reduce(partial(shuffle_bracket, datum), letters)
-    if m > datum.phi(k):
-        return reduce(lambda e, x: shuffle_bracket(datum, x, e), reversed(letters))
-    # m == phi(k): double bracket of the left-nested prefix with x_m
-    return shuffle_bracket(datum, generator_image(datum, k, m - 1), letters[-1],
-                           datum.q_power(-1))
 
 
 @dataclass(frozen=True)

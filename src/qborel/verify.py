@@ -306,12 +306,11 @@ class CoproductFormula:
 
     def text_lines(self) -> list:
         sym = "e" if self.series == "D" else "v"
-        head = (f"Delta({sym}[{self.k},{self.m}]) = {sym}[k,m] (x) 1 "
-                f"+ g_km (x) {sym}[k,m]")
-        lines = [head]
+        gen = f"{sym}[{self.k},{self.m}]"
+        lines = [f"Delta({gen}) = {gen} (x) 1 + g[{self.k},{self.m}] (x) {gen}"]
         for t in self.terms:
             lines.append(
-                f"  + tau_{t.i} (1-q^-1) g_k{t.i} {t.left} (x) {t.right}"
+                f"  + tau_{t.i} (1-q^-1) g[{self.k},{t.i}] {t.left} (x) {t.right}"
                 f"   tau_{t.i} = {t.tau}"
                 f"   grouplike deg {list(t.grouplike)}")
         return lines

@@ -6,7 +6,7 @@ from qborel.cli import (MAX_EXPR_DEPTH, BracketSyntaxError, bind_expr,
                         parse_expr, run_command)
 from qborel.coeffring import parse_poly
 from qborel.datum import IndexOutOfRange, make_datum
-from qborel.freeword import FreeElem, qq_bracket, skew_bracket
+from qborel.freeword import FreeElem, skew_bracket
 from qborel.shuffle import eval_free
 
 
@@ -33,11 +33,12 @@ def test_bind_expr():
     d = make_datum("C", 2)
     tree = parse_expr("qb([x1,x2],x3)")
     x1, x2, x3 = (FreeElem.letter(d, i) for i in (1, 2, 3))
+    qinv = d.q_power(-1)
     assert bind_expr(d, tree) == \
-        eval_free(d, qq_bracket(d, skew_bracket(d, x1, x2), x3))
+        eval_free(d, skew_bracket(d, skew_bracket(d, x1, x2), x3, qinv))
     tree = parse_expr("[[x1,x2],[x2,qb(x3,x1)]]")
     want = skew_bracket(d, skew_bracket(d, x1, x2),
-                        skew_bracket(d, x2, qq_bracket(d, x3, x1)))
+                        skew_bracket(d, x2, skew_bracket(d, x3, x1, qinv)))
     assert bind_expr(d, tree) == eval_free(d, want)
     with pytest.raises(IndexOutOfRange):
         bind_expr(d, parse_expr("x9"))
@@ -129,6 +130,8 @@ def test_coproduct_text_lists_tau(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "tau_3 = t_3_4^-1" in out
+    assert out.startswith("Delta(e[1,7]) = e[1,7] (x) 1 + g[1,7] (x) e[1,7]\n")
+    assert "g[1,3] e[4,7] (x) e[1,3]" in out
 
 
 def test_coproduct_discover_mode_flag(capsys):
@@ -167,6 +170,14 @@ def test_pbw_command(capsys):
     assert "25/25" in out
 
 
+def test_pbw_has_no_mode_option(capsys):
+    # the certificate always runs at the numeric point of --seed
+    code = run_command(["pbw", "--series", "C", "--rank", "2",
+                        "--max-degree", "2", "--mode", "numeric"])
+    assert code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
 def test_usage_errors(capsys):
     assert run_command(["verify", "--series", "E", "--rank", "2",
                         "--suite", "all"]) == 2
@@ -190,6 +201,15 @@ def test_verify_count_must_be_positive(count, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--count" in captured.err and "at least 1" in captured.err
+
+
+def test_verify_max_degree_checked_before_any_suite(capsys):
+    code = run_command(["verify", "--series", "C", "--rank", "2",
+                        "--suite", "sigma", "--max-degree", "0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-degree" in captured.err
 
 
 def test_out_file(tmp_path, capsys):

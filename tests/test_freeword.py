@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from qborel.coeffring import LaurentPoly
 from qborel.datum import IndexOutOfRange, make_datum
 from qborel.freeword import (FreeElem, NonHomogeneousOperand, multidegree,
-                             pbw_bracketing, qq_bracket, skew_bracket,
-                             word_greater)
+                             pbw_bracketing, skew_bracket, word_greater)
 
 C2 = make_datum("C", 2)
 C3 = make_datum("C", 3)
@@ -42,10 +41,10 @@ def test_skew_bracket_examples():
 
 
 def test_qq_bracket_examples():
-    assert qq_bracket(D4, x(D4, 4), x(D4, 4)).is_zero()
-    b = qq_bracket(C2, x(C2, 2), x(C2, 2))
+    assert skew_bracket(D4, x(D4, 4), x(D4, 4), D4.q_power(-1)).is_zero()
+    b = skew_bracket(C2, x(C2, 2), x(C2, 2), C2.q_power(-1))
     assert b == FreeElem({(2, 2): C2.one() - C2.q_power(1)})
-    b12 = qq_bracket(C2, x(C2, 1), x(C2, 2))
+    b12 = skew_bracket(C2, x(C2, 1), x(C2, 2), C2.q_power(-1))
     assert b12.terms[(2, 1)] == -C2.q_power(-1) * t(C2, 1, 2)
 
 
@@ -60,7 +59,8 @@ def test_homogeneity_enforced():
 
 def test_pbw_bracketing_shapes():
     assert pbw_bracketing(C2, 1, 1) == x(C2, 1)
-    want = qq_bracket(C2, skew_bracket(C2, x(C2, 1), x(C2, 2)), x(C2, 3))
+    want = skew_bracket(C2, skew_bracket(C2, x(C2, 1), x(C2, 2)), x(C2, 3),
+                        C2.q_power(-1))
     assert pbw_bracketing(C2, 1, 3) == want
     assert pbw_bracketing(D4, 4, 4).is_zero()
     assert pbw_bracketing(C2, 2, 2) == x(C2, 2)

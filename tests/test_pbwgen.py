@@ -1,7 +1,7 @@
 import pytest
 
 from qborel.coeffring import LaurentPoly
-from qborel.datum import make_datum
+from qborel.datum import make_datum, reduce_mod
 from qborel.freeword import pbw_bracketing
 from qborel.pbwgen import (alpha, closed_form_image, epsilon, generator_image,
                            pbw_generators, tau_table)
@@ -75,7 +75,15 @@ def test_closed_form_image_examples():
     assert set(img.terms) == {(3, 4, 2, 1), (4, 3, 2, 1)}
 
 
-@pytest.mark.parametrize("d", [C2, C3, D3, D4, A3], ids=lambda d: f"{d.series}{d.n}")
+@pytest.mark.parametrize("d", [
+    C2, C3, D3, D4, A3,
+    # residues and rationals: the D(n,n) zero comes from q^-1 p_nn = 1 there
+    pytest.param(reduce_mod(make_datum("D", 4, "numeric", seed=1), 2147483647),
+                 id="D4-mod-p"),
+    pytest.param(make_datum("D", 5, "numeric"), id="D5-numeric"),
+    pytest.param(reduce_mod(make_datum("C", 3, "numeric"), 2147483629),
+                 id="C3-mod-p"),
+], ids=lambda d: f"{d.series}{d.n}")
 def test_images_match_bracketings(d):
     top = d.max_letter
     for k in range(1, top + 1):

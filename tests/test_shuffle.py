@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qborel.datum import make_datum
 from qborel.freeword import (FreeElem, NonHomogeneousOperand, pbw_bracketing,
-                             qq_bracket, skew_bracket)
+                             skew_bracket)
 from qborel.shuffle import (BraidedTensor, ShuffleElem, braided_coproduct,
                             comonomial_degree, eval_free, eval_word,
                             shuffle_bracket, shuffle_letter_mul, shuffle_mul,
@@ -267,7 +267,7 @@ def test_shuffle_bracket_is_the_image_of_the_bracket(name, data):
     eu, ev = eval_free(datum, u), eval_free(datum, v)
     assert shuffle_bracket(datum, eu, ev) == eval_free(datum, skew_bracket(datum, u, v))
     assert shuffle_bracket(datum, eu, ev, datum.q_power(-1)) == \
-        eval_free(datum, qq_bracket(datum, u, v))
+        eval_free(datum, skew_bracket(datum, u, v, datum.q_power(-1)))
 
 
 def test_shuffle_bracket_needs_homogeneous_operands():
