@@ -24,8 +24,7 @@ import json
 import sys
 
 from .coeffring import NonDivisible
-from .datum import (IndexOutOfRange, InvalidRank,
-                    NumericAssignmentHitsExcludedRoot, make_datum)
+from .datum import IndexOutOfRange, make_datum
 from .shuffle import ShuffleElem, shuffle_bracket
 from .verify import (NonProportionalProjection, SUITES, coproduct_formula,
                      run_suites, verify_pbw_independence)
@@ -279,8 +278,7 @@ def run_command(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (BracketSyntaxError, IndexOutOfRange, InvalidRank,
-            NumericAssignmentHitsExcludedRoot, ValueError, OSError) as exc:
+    except (IndexOutOfRange, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

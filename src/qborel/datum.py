@@ -7,8 +7,8 @@ bicharacter table p_ij subject to
 
 In the multiparameter realization the entries above the diagonal are free
 variables t_ij and the entries below are forced; the one-parameter mode
-substitutes t_ij = q^{d_i a_ij}, and the numeric mode evaluates everything
-at a fixed rational point, which ``reduce_mod`` maps further into GF(p).
+sets t_ij = q^{d_i a_ij}, and the numeric mode takes q and the t_ij at a
+fixed rational point, which ``reduce_mod`` maps further into GF(p).
 The datum also owns the folded letter alphabet x_1, ..., x_{2n-1} with
 x_i = x_{2n-i} and the distinguished ascending words v(k,m) (series A, C)
 and e(k,m), e'(k,m) (series D).
@@ -19,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffring import LaurentPoly, MissingAssignment, VarSet, residue_field
+from .coeffring import (LaurentPoly, MissingAssignment, VarSet, ZeroAssignment,
+                        residue_field)
 
 SERIES = ("A", "C", "D")
 MODES = ("multiparameter", "one-parameter", "numeric")
@@ -265,13 +266,14 @@ class QuantumDatum:
 
 def make_datum(series: str, n: int, mode: str = "multiparameter",
                assignment: dict | None = None, seed: int = 0) -> QuantumDatum:
-    """Construct and re-verify a quantum datum.
+    """Construct and re-verify a quantum datum at the mode's point (q, t_ij):
+    p_ii = q^{d_i} and, for i < j, p_ij = t_ij and p_ji = q^{d_i a_ij} / t_ij.
 
-    multiparameter: p_ij = t_ij above the diagonal, p_ji forced.
-    one-parameter:  substitutes t_ij = q^{d_i a_ij}, so p_ji = 1.
-    numeric:        evaluates the multiparameter table at a rational point
-                    (default q = 5, 7 or 9 by seed mod 3, t_ij small
-                    primes) with q not in {0, +-1} and q^3 != 1.
+    multiparameter: q and the t_ij are the Laurent variables.
+    one-parameter:  t_ij = q^{d_i a_ij}, so p_ji = 1.
+    numeric:        q and the t_ij are the rationals of an assignment (default
+                    q = 5, 7 or 9 by seed mod 3, t_ij small primes), q not in
+                    {0, +-1}, q^3 != 1, no t_ij zero; other names are ignored.
     """
     if series not in SERIES:
         raise ValueError(f"series must be one of {SERIES}")
@@ -283,17 +285,6 @@ def make_datum(series: str, n: int, mode: str = "multiparameter",
 
     cartan, d = cartan_data(series, n)
     vs = VarSet(n)
-    q = LaurentPoly.q(vs)
-    p = [[LaurentPoly.zero(vs)] * n for _ in range(n)]
-    for i in range(n):
-        p[i][i] = LaurentPoly.q(vs, d[i])
-        for j in range(i + 1, n):
-            if mode == "one-parameter":
-                p[i][j] = LaurentPoly.q(vs, d[i] * cartan[i][j])
-                p[j][i] = LaurentPoly.one(vs)
-            else:
-                p[i][j] = LaurentPoly.t(vs, i + 1, j + 1)
-                p[j][i] = LaurentPoly.q(vs, d[i] * cartan[i][j]) * LaurentPoly.t(vs, i + 1, j + 1, -1)
     if mode == "numeric":
         assignment = dict(assignment) if assignment else default_assignment(n, seed)
         for name in vs.names:
@@ -302,12 +293,22 @@ def make_datum(series: str, n: int, mode: str = "multiparameter",
         qv = Fraction(assignment["q"])
         if qv == 0 or qv == 1 or qv == -1 or qv ** 3 == 1:
             raise NumericAssignmentHitsExcludedRoot(f"q = {qv} is excluded")
-        # evaluate raises ZeroAssignment for a zero t_ij; extra keys are not passed
-        point = {name: assignment[name] for name in vs.names}
-        q = q.evaluate(point)
-        p = [[x.evaluate(point) for x in row] for row in p]
+        point = []
+        for name in vs.names:
+            point.append(Fraction(assignment[name]))
+            if point[-1] == 0:
+                raise ZeroAssignment(f"{name} assigned 0; Laurent variables must be invertible")
     else:
         assignment = None
+        point = [LaurentPoly.var(vs, name) for name in vs.names]
+    q = point[0]
+    p = [[q] * n for _ in range(n)]
+    for i in range(n):
+        p[i][i] = q ** d[i]
+        for j in range(i + 1, n):
+            qa = q ** (d[i] * cartan[i][j])
+            p[i][j] = qa if mode == "one-parameter" else point[vs.t_index(i + 1, j + 1)]
+            p[j][i] = qa / p[i][j]
     return QuantumDatum(series, n, mode, cartan, d, vs, assignment,
                         tuple(tuple(row) for row in p), q)
 

@@ -100,6 +100,48 @@ def test_numeric_datum_at_a_given_point():
         make_datum("C", 2, "numeric", assignment={"q": 2, "t_1_2": 0})
 
 
+def _evaluates_to(numeric, laurent, point):
+    """The numeric datum's q and table are the Laurent ones evaluated at point."""
+    assert type(numeric.q) is Fraction and numeric.q == laurent.q.evaluate(point)
+    for row, laurent_row in zip(numeric.p, laurent.p):
+        for x, entry in zip(row, laurent_row):
+            assert type(x) is Fraction and x == entry.evaluate(point)
+
+
+@pytest.mark.parametrize("series,n", [("A", n) for n in range(2, 6)]
+                         + [("C", n) for n in range(2, 7)]
+                         + [("D", n) for n in range(3, 7)])
+def test_numeric_table_is_the_evaluated_laurent_table(series, n):
+    # make_datum builds a numeric table from its point; evaluating the
+    # Laurent table at that point is the reference
+    multi = make_datum(series, n)
+    for seed in range(3):
+        d = make_datum(series, n, "numeric", seed=seed)
+        _evaluates_to(d, multi, d.assignment)
+    one = make_datum(series, n, "one-parameter")
+    point = {"q": 5}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            point[f"t_{i}_{j}"] = Fraction(5) ** (one.d[i - 1] * one.cartan[i - 1][j - 1])
+    _evaluates_to(make_datum(series, n, "numeric", assignment=point), one, {"q": 5})
+
+
+def test_numeric_table_at_a_given_point_is_the_evaluated_laurent_table():
+    point = {"q": 3, "t_1_2": 7, "t_1_3": Fraction(2, 5), "t_2_3": -4}
+    _evaluates_to(make_datum("C", 3, "numeric", assignment=dict(point, s=0)), C3, point)
+
+
+def test_numeric_datum_evaluates_no_laurent_polynomial(monkeypatch):
+    def refuse(self, assignment):
+        raise AssertionError("LaurentPoly.evaluate called")
+
+    monkeypatch.setattr(LaurentPoly, "evaluate", refuse)
+    for series in ("C", "D"):
+        d = make_datum(series, 4, "numeric")
+        for prime in (2147483647, 2147483629):
+            reduce_mod(d, prime)._verify_relations()
+
+
 @pytest.mark.parametrize("series", ["C", "D"])
 def test_reduce_mod_keeps_the_relations(series):
     prime = 2147483629
