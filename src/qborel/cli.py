@@ -121,7 +121,7 @@ def bind_expr(datum, tree) -> ShuffleElem:
 
 def _make_datum_for(args) -> object:
     mode = getattr(args, "mode", None)
-    if mode == "numeric" or (mode in (None, "auto") and args.rank >= 5):
+    if mode == "numeric" or (mode is None and args.rank >= 5):
         return make_datum(args.series, args.rank, "numeric", seed=getattr(args, "seed", 0))
     return make_datum(args.series, args.rank, "multiparameter")
 
@@ -230,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--series", required=True, choices=("A", "C", "D"))
         p.add_argument("--rank", required=True, type=int)
         if with_mode:
-            p.add_argument("--mode", choices=("symbolic", "numeric", "auto"),
-                           default="auto",
+            p.add_argument("--mode", choices=("symbolic", "numeric"),
+                           default=None,
                            help="symbolic multiparameter datum or numeric "
                                 "rational specialization (default: symbolic "
                                 "for rank <= 4, numeric for rank >= 5)")

@@ -18,6 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import permutations
 
 from .coeffring import NonDivisible, add_terms
 from .datum import (NonUnitModP, QuantumDatum, make_datum, reduce_mod, sigma,
@@ -82,7 +83,7 @@ def _timed(suite: str, cases: list, t0: float) -> VerificationReport:
 
 
 def _first_diff(a: dict, b: dict, render) -> str:
-    for key in sorted(set(a) | set(b), key=repr):
+    for key in sorted(set(a) | set(b)):
         ca, cb = a.get(key), b.get(key)
         if ca != cb:
             return (f"at {render(key)}: "
@@ -121,42 +122,41 @@ def verify_sigma_closed_form(datum: QuantumDatum) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Serre relations
 
-def _serre_pairs(datum: QuantumDatum) -> list:
-    """(i, j, 1 - a_ji) for every ordered pair of distinct nodes."""
-    n = datum.n
-    return [(i, j, 1 - datum.cartan[j - 1][i - 1])
-            for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+def _serre_chains(datum: QuantumDatum) -> list:
+    """(name, u, w) for every defining relation [u, w].
+
+    For every ordered pair i != j with c = 1 - a_ji copies of x_j: the
+    left-nested chain [...[[x_i,x_j],x_j],...,x_j], then, when c > 1, the
+    right-nested chain [x_j,[x_j,...,[x_j,x_i]...]]; for orthogonal pairs the
+    chain is the plain bracket [x_i,x_j].
+    """
+    chains = []
+    for i, j in permutations(range(1, datum.n + 1), 2):
+        cnt = 1 - datum.cartan[j - 1][i - 1]
+        xi, xj = FreeElem.letter(datum, i), FreeElem.letter(datum, j)
+        chains.append(("[" * cnt + f"x{i}" + f",x{j}]" * cnt,
+                       left_nested(datum, [xi] + [xj] * (cnt - 1)), xj))
+        if cnt > 1:
+            chains.append((f"[x{j}," * cnt + f"x{i}" + "]" * cnt,
+                           xj, right_nested(datum, [xj] * (cnt - 1) + [xi])))
+    return chains
 
 
 def serre_relations(datum: QuantumDatum) -> list:
-    """Defining relations as (name, FreeElem) pairs.
-
-    For every ordered pair i != j with c = 1 - a_ji copies of x_j, both the
-    left-nested chain [...[[x_i,x_j],x_j],...,x_j] and the right-nested
-    chain [x_j,[x_j,...,[x_j,x_i]...]] are listed; for orthogonal pairs
-    both collapse to the plain brackets [x_i,x_j] and [x_j,x_i].
-    """
-    rels = []
-    for i, j, cnt in _serre_pairs(datum):
-        xi, xj = FreeElem.letter(datum, i), FreeElem.letter(datum, j)
-        rels.append(("[" * cnt + f"x{i}" + f",x{j}]" * cnt,
-                     left_nested(datum, [xi] + [xj] * cnt)))
-        if cnt > 1:
-            rels.append((f"[x{j}," * cnt + f"x{i}" + "]" * cnt,
-                         right_nested(datum, [xj] * cnt + [xi])))
-    return rels
+    """Defining relations as (name, FreeElem) pairs, in ``_serre_chains``
+    order."""
+    return [(name, skew_bracket(datum, u, w))
+            for name, u, w in _serre_chains(datum)]
 
 
 def verify_serre(datum: QuantumDatum) -> VerificationReport:
     """Shuffle images of all defining relations vanish exactly."""
     t0 = time.monotonic()
-
-    def check(name, elem):
+    cases = []
+    for name, elem in serre_relations(datum):
         img = eval_free(datum, elem)
-        ok = img.is_zero()
-        return CaseResult(name, ok, None if ok else f"image {img}")
-
-    cases = [check(name, elem) for name, elem in serre_relations(datum)]
+        cases.append(CaseResult(name, img.is_zero(),
+                                None if img.is_zero() else f"image {img}"))
     return _timed("serre", cases, t0)
 
 
@@ -435,18 +435,6 @@ def _random_homogeneous(datum: QuantumDatum, rng: random.Random,
     return elem
 
 
-def _guard_pairs(datum: QuantumDatum) -> list:
-    """Pairs (u, w) whose skew bracket vanishes in the shuffle image: the
-    outer operands of the Serre chains, the right-nested chain first."""
-    pairs = []
-    for i, j, cnt in _serre_pairs(datum):
-        xi, xj = FreeElem.letter(datum, i), FreeElem.letter(datum, j)
-        if cnt > 1:
-            pairs.append((xj, right_nested(datum, [xj] * (cnt - 1) + [xi])))
-        pairs.append((left_nested(datum, [xi] + [xj] * (cnt - 1)), xj))
-    return pairs
-
-
 def _p_of(datum, u, v):
     return datum.p_deg(multidegree(datum, u), multidegree(datum, v))
 
@@ -459,111 +447,74 @@ def verify_identity_suite(datum: QuantumDatum, seed: int = 0,
     are verified as free-algebra equalities.  The two conditional
     identities need a vanishing bracket as hypothesis; nonzero free-algebra
     witnesses of [u,w] = 0 do not exist over the generic datum, so the
-    guard is realized in the shuffle image (where the defining relations
-    vanish) and the identities are checked there, matching how they are
-    applied inside the quantum Borel algebra.
+    guard is a Serre chain's outer operands, whose bracket vanishes in the
+    shuffle image, and the identities are checked there, matching how they
+    are applied inside the quantum Borel algebra.
     """
     t0 = time.monotonic()
     rng = random.Random(seed)
-    guards = _guard_pairs(datum)
+    guards = [(u, w) for _, u, w in _serre_chains(datum)]
+    br = partial(skew_bracket, datum)
+    p = partial(_p_of, datum)
+    one = datum.one()
+
+    def free(size, max_len):
+        return lambda: ([_random_homogeneous(datum, rng, max_len)
+                         for _ in range(size)], None)
+
+    def guarded(slot):
+        """A Serre chain's outer operands, each scaled, as u and the operand
+        in ``slot`` (1: v, 2: w), so their bracket is the guard."""
+        def draw():
+            a, b = (x.scale(_random_scalar(datum, rng)) for x in rng.choice(guards))
+            ops = [a, _random_homogeneous(datum, rng)]
+            ops.insert(slot, b)
+            return ops, slot
+        return draw
+
+    # name, draw, lhs, rhs; a guarded identity compares its sides' images
+    identities = [
+        ("jacobi", free(3, 3),
+         lambda u, v, w: br(br(u, v), w),
+         lambda u, v, w: (br(u, br(v, w))
+                          + br(br(u, w), v).scale(p_wv_inv := p(w, v) ** -1)
+                          + (br(u, w) * v).scale(p(v, w) - p_wv_inv))),
+        ("antisymmetry", free(2, 3),
+         lambda u, v: br(u, v),
+         lambda u, v: (-br(v, u).scale(p_uv := p(u, v))
+                       + (u * v).scale(one - p_uv * p(v, u)))),
+        ("conditional-jacobi", guarded(2),
+         lambda u, v, w: br(br(u, v), w),
+         lambda u, v, w: br(u, br(v, w))),
+        ("conditional-swap", guarded(1),
+         lambda u, v, w: br(u, br(v, w)),
+         lambda u, v, w: (-br(br(u, w), v).scale(p_vw := p(v, w))
+                          + (v * br(u, w)).scale(
+                              p(u, v) * (one - p_vw * p(w, v))))),
+        ("ad-left", free(3, 2),
+         lambda u, v, w: br(u * v, w),
+         lambda u, v, w: (br(u, w) * v).scale(p(v, w)) + u * br(v, w)),
+        ("ad-right", free(3, 2),
+         lambda u, v, w: br(u, v * w),
+         lambda u, v, w: br(u, v) * w + (v * br(u, w)).scale(p(u, v))),
+    ]
     cases = []
-
-    def run(name, fn):
+    for name, draw, lhs, rhs in identities:
+        witness = None
         for instance in range(count):
-            witness = fn(rng)
-            if witness is not None:
-                cases.append(CaseResult(f"{name} x{count}", False,
-                                        f"instance {instance}: {witness}"))
-                return
-        cases.append(CaseResult(f"{name} x{count}", True))
-
-    def jak1(rng):
-        u = _random_homogeneous(datum, rng)
-        v = _random_homogeneous(datum, rng)
-        w = _random_homogeneous(datum, rng)
-        p_wv_inv = _p_of(datum, w, v) ** -1
-        p_vw = _p_of(datum, v, w)
-        lhs = skew_bracket(datum, skew_bracket(datum, u, v), w)
-        rhs = (skew_bracket(datum, u, skew_bracket(datum, v, w))
-               + skew_bracket(datum, skew_bracket(datum, u, w), v).scale(p_wv_inv)
-               + (skew_bracket(datum, u, w) * v).scale(p_vw - p_wv_inv))
-        if lhs != rhs:
-            return f"u={u!r} v={v!r} w={w!r}"
-        return None
-
-    def cha(rng):
-        u = _random_homogeneous(datum, rng)
-        v = _random_homogeneous(datum, rng)
-        p_uv = _p_of(datum, u, v)
-        p_vu = _p_of(datum, v, u)
-        lhs = skew_bracket(datum, u, v)
-        rhs = (-skew_bracket(datum, v, u).scale(p_uv)
-               + (u * v).scale(datum.one() - p_uv * p_vu))
-        if lhs != rhs:
-            return f"u={u!r} v={v!r}"
-        return None
-
-    def jak3(rng):
-        u, w = rng.choice(guards)
-        u = u.scale(_random_scalar(datum, rng))
-        w = w.scale(_random_scalar(datum, rng))
-        v = _random_homogeneous(datum, rng)
-        if eval_free(datum, skew_bracket(datum, u, w)):
-            return "guard [u,w] does not vanish"
-        lhs = eval_free(datum, skew_bracket(datum, skew_bracket(datum, u, v), w))
-        rhs = eval_free(datum, skew_bracket(datum, u, skew_bracket(datum, v, w)))
-        if lhs != rhs:
-            return f"u={u!r} v={v!r} w={w!r}: " + _shuffle_witness(lhs, rhs)
-        return None
-
-    def jja(rng):
-        u, v = rng.choice(guards)
-        u = u.scale(_random_scalar(datum, rng))
-        v = v.scale(_random_scalar(datum, rng))
-        w = _random_homogeneous(datum, rng)
-        if eval_free(datum, skew_bracket(datum, u, v)):
-            return "guard [u,v] does not vanish"
-        p_vw = _p_of(datum, v, w)
-        p_wv = _p_of(datum, w, v)
-        p_uv = _p_of(datum, u, v)
-        lhs = eval_free(datum, skew_bracket(datum, u, skew_bracket(datum, v, w)))
-        rhs = eval_free(
-            datum,
-            -skew_bracket(datum, skew_bracket(datum, u, w), v).scale(p_vw)
-            + (v * skew_bracket(datum, u, w)).scale(
-                p_uv * (datum.one() - p_vw * p_wv)))
-        if lhs != rhs:
-            return f"u={u!r} v={v!r} w={w!r}: " + _shuffle_witness(lhs, rhs)
-        return None
-
-    def br1f(rng):
-        u = _random_homogeneous(datum, rng, 2)
-        v = _random_homogeneous(datum, rng, 2)
-        w = _random_homogeneous(datum, rng, 2)
-        p_vw = _p_of(datum, v, w)
-        lhs = skew_bracket(datum, u * v, w)
-        rhs = (skew_bracket(datum, u, w) * v).scale(p_vw) + u * skew_bracket(datum, v, w)
-        if lhs != rhs:
-            return f"u={u!r} v={v!r} w={w!r}"
-        return None
-
-    def br1(rng):
-        u = _random_homogeneous(datum, rng, 2)
-        v = _random_homogeneous(datum, rng, 2)
-        w = _random_homogeneous(datum, rng, 2)
-        p_uv = _p_of(datum, u, v)
-        lhs = skew_bracket(datum, u, v * w)
-        rhs = skew_bracket(datum, u, v) * w + (v * skew_bracket(datum, u, w)).scale(p_uv)
-        if lhs != rhs:
-            return f"u={u!r} v={v!r} w={w!r}"
-        return None
-
-    run("jacobi", jak1)
-    run("antisymmetry", cha)
-    run("conditional-jacobi", jak3)
-    run("conditional-swap", jja)
-    run("ad-left", br1f)
-    run("ad-right", br1)
+            ops, slot = draw()
+            if slot is not None and eval_free(datum, br(ops[0], ops[slot])):
+                witness = f"instance {instance}: guard [u,{'uvw'[slot]}] does not vanish"
+                break
+            got, want = lhs(*ops), rhs(*ops)
+            if slot is not None:
+                got, want = eval_free(datum, got), eval_free(datum, want)
+            if got != want:
+                witness = (f"instance {instance}: "
+                           + " ".join(f"{x}={op!r}" for x, op in zip("uvw", ops))
+                           + ("" if slot is None else ": " + _shuffle_witness(got, want)))
+                break
+        cases.append(CaseResult(f"{name} x{count}", witness is None, witness))
     return _timed("identities", cases, t0)
 
 

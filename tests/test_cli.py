@@ -235,3 +235,19 @@ def test_numeric_mode_flag(capsys):
                         "--suite", "serre", "--mode", "numeric"])
     assert code == 0
     assert "(numeric)" in capsys.readouterr().out
+
+
+def test_default_mode_is_numeric_from_rank_5(capsys):
+    for rank, mode in (("4", "(multiparameter)"), ("5", "(numeric)")):
+        assert run_command(["verify", "--series", "C", "--rank", rank,
+                            "--suite", "sigma"]) == 0
+        assert mode in capsys.readouterr().out.splitlines()[0]
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "sigma"],
+                                     ["eval", "--expr", "x1"]])
+def test_mode_auto_is_refused(command, capsys):
+    code = run_command([command[0], "--series", "C", "--rank", "2",
+                        "--mode", "auto", *command[1:]])
+    assert code == 2
+    assert "--mode" in capsys.readouterr().err

@@ -7,7 +7,8 @@ from fractions import Fraction
 from qborel import cli, verify
 from qborel.datum import NonUnitModP, make_datum, reduce_mod
 from qborel.pbwgen import tau_table
-from qborel.shuffle import BraidedTensor
+from qborel.freeword import skew_bracket
+from qborel.shuffle import BraidedTensor, comonomial_str
 from qborel.verify import (_RANK_PRIMES, NonProportionalProjection,
                            _modp_first_dependent, coproduct_formula,
                            pbw_product_rows,
@@ -325,3 +326,59 @@ def test_report_dict_shape():
     assert doc["suite"] == "serre"
     assert doc["passed"] is True
     assert all(set(c) >= {"name", "passed"} for c in doc["cases"])
+
+
+def test_first_diff_names_the_first_key_in_natural_order():
+    assert verify._first_diff({2: 1, 10: 1}, {2: 0, 10: 0},
+                              lambda i: f"tau_{i}") == "at tau_2: 1 != 0"
+    # a comonomial sorts before its extensions, and letters compare as numbers
+    assert verify._first_diff({(1,): 1, (1, 2): 1}, {(1,): 0, (1, 2): 0},
+                              comonomial_str) == "at (x1): 1 != 0"
+    assert verify._first_diff({(3, 9): 1, (3, 10): 1}, {}, comonomial_str) \
+        == "at (x3 x9): 1 != (absent)"
+
+
+# Witnesses of a skew bracket that scales every plain p(u, v) by q, at
+# seed 5; the free draws are pinned, so their order must not move.
+_BROKEN_BRACKET_WITNESSES = {
+    "C3": [
+        "instance 0: u=<FreeElem (-3)*x3*x3*x5> v=<FreeElem (-2*q^-1)*x1> "
+        "w=<FreeElem (-3*q)*x2*x4 + (q)*x4*x2>",
+        "instance 0: u=<FreeElem (-q^-1)*x4> v=<FreeElem (-2*q)*x2*x1>",
+        "instance 0: guard [u,w] does not vanish",
+        "instance 0: guard [u,v] does not vanish",
+        "instance 0: u=<FreeElem (-q^-1)*x1*x3 + (-1)*x3*x1> "
+        "v=<FreeElem (2*q^-1)*x3*x5> w=<FreeElem (-3)*x1*x3>",
+        "instance 0: u=<FreeElem (-q^-1)*x2*x1> "
+        "v=<FreeElem (q^-1)*x1*x4 + (2)*x4*x1> w=<FreeElem (-2*q^-1)*x5>",
+    ],
+    "D4": [
+        "instance 0: u=<FreeElem (3*q)*x3*x6*x3> "
+        "v=<FreeElem (-2*q)*x1*x7*x4 + (-1)*x7*x4*x1> w=<FreeElem (2*q^-1)*x4>",
+        "instance 0: u=<FreeElem (-2)*x2*x1*x6 + (-3*q^-1)*x6*x2*x1> "
+        "v=<FreeElem (-2*q^-1)*x5*x4*x2>",
+        "instance 0: guard [u,w] does not vanish",
+        "instance 0: guard [u,v] does not vanish",
+        "instance 0: u=<FreeElem (-3)*x3> v=<FreeElem (2*q^-1)*x7*x5> "
+        "w=<FreeElem (-3)*x1*x3>",
+        "instance 0: u=<FreeElem (-3)*x6*x2> v=<FreeElem (-1)*x6> "
+        "w=<FreeElem (1)*x5>",
+    ],
+}
+
+
+@pytest.mark.parametrize("d", [C3, D4], ids=lambda d: f"{d.series}{d.n}")
+def test_identity_suite_witnesses_a_broken_bracket(monkeypatch, d):
+    def broken(datum, u, v, factor=None):
+        return skew_bracket(datum, u, v,
+                            datum.q_power(1) if factor is None else factor)
+
+    monkeypatch.setattr(verify, "skew_bracket", broken)
+    report = verify_identity_suite(d, seed=5, count=20)
+    assert [c.name for c in report.cases] == [
+        f"{name} x20" for name in ("jacobi", "antisymmetry",
+                                   "conditional-jacobi", "conditional-swap",
+                                   "ad-left", "ad-right")]
+    assert not any(c.passed for c in report.cases)
+    assert [c.witness for c in report.cases] == \
+        _BROKEN_BRACKET_WITNESSES[f"{d.series}{d.n}"]
