@@ -292,7 +292,11 @@ class LaurentPoly:
     def div_exact(self, b) -> "LaurentPoly":
         """Exact quotient c with c * b == self, else NonDivisible.
 
-        A monomial divisor subtracts its key from every key.  Otherwise both
+        A monomial divisor subtracts its key from every key.  A divisor with
+        as many terms as the dividend can only leave a monomial quotient
+        f X^k; since packed keys add, k is the difference of the largest
+        keys and f the quotient of their coefficients, and one pass over
+        the divisor's terms confirms or rejects it.  Otherwise both
         operands are unpacked and shifted to honest polynomials with zero
         minimum exponent in each variable (the quotient of such polynomials
         is again of that shape because valuations add), then leading-term
@@ -324,6 +328,16 @@ class LaurentPoly:
                     raise NonDivisible(f"coefficient {ac} not divisible by {bc}")
                 out[ka - kb] = quo
             return _laurent(self.vs, out, self._bound + b._bound)
+        a = self.terms
+        if len(a) == len(b.terms):
+            ka, kb = max(a), max(b.terms)
+            f, r = divmod(a[ka], b.terms[kb])
+            k = ka - kb
+            # key + k may leave the range, but each of its exponents is
+            # within 4 EXP_LIMIT < 2^32 of those of a, so equal ints mean
+            # equal exponent vectors
+            if not r and all(a.get(key + k) == f * c for key, c in b.terms.items()):
+                return _laurent(self.vs, {k: f}, self._bound + b._bound)
 
         unpack = self.vs.unpack
         a_exps = {unpack(k): c for k, c in self.terms.items()}

@@ -15,7 +15,6 @@ nesting of the PBW generators once, for the free and the shuffle algebra.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Sequence
 
 from .coeffring import LinComb, add_terms
@@ -116,34 +115,40 @@ def right_nested(datum: QuantumDatum, factors: Sequence[FreeElem]) -> FreeElem:
 
 
 def bracketed_word(datum: QuantumDatum, k: int, m: int, letter, bracket,
-                   prefix):
+                   prefix, chain):
     """The bracketed word v[k,m] (series A, C) or e[k,m] (series D).
 
     Left-nested below the fold (m < phi(k)), right-nested above it, and the
     double bracket [[.[k,m-1]., x_m]] exactly at m = phi(k).  Series D at
     (n, n) degenerates to [[x_n, x_n]], which is identically zero.  The
     algebra is given by ``letter(datum, i)``, by ``bracket(datum, u, v,
-    factor)``, which scales p(u, v) by factor unless it is None, and by
-    ``prefix(datum, k, m - 1)``, the bracketed word [k, m-1] in it, so a
-    memoised caller reuses that image.
+    factor)``, which scales p(u, v) by factor unless it is None, by
+    ``prefix(datum, k, m - 1)``, the bracketed word [k, m-1] in it, and by
+    ``chain(datum, word, right)``, the left-nested (right-nested if
+    ``right``) chain of the letters of ``word``, so a memoised caller
+    reuses the images and chains it has already built.
     """
     if datum.series == "D" and k == m == datum.n:
         x = letter(datum, m)
         return bracket(datum, x, x, datum.q_power(-1))
-    xs = [letter(datum, i) for i in datum.series_word(k, m)]
-    if len(xs) == 1:
-        return xs[0]
-    if datum.series == "A" or m < datum.phi(k):
-        return reduce(lambda e, x: bracket(datum, e, x), xs)
+    word = datum.series_word(k, m)
+    if len(word) == 1 or datum.series == "A" or m < datum.phi(k):
+        return chain(datum, word, False)
     if m > datum.phi(k):
-        return reduce(lambda e, x: bracket(datum, x, e), reversed(xs))
-    return bracket(datum, prefix(datum, k, m - 1), xs[-1], datum.q_power(-1))
+        return chain(datum, word, True)
+    return bracket(datum, prefix(datum, k, m - 1), letter(datum, word[-1]),
+                   datum.q_power(-1))
+
+
+def _free_chain(datum: QuantumDatum, word: Sequence[int], right: bool) -> FreeElem:
+    xs = [FreeElem.letter(datum, i) for i in word]
+    return right_nested(datum, xs) if right else left_nested(datum, xs)
 
 
 def pbw_bracketing(datum: QuantumDatum, k: int, m: int) -> FreeElem:
     """v[k,m] or e[k,m] in the free algebra (see :func:`bracketed_word`)."""
     return bracketed_word(datum, k, m, FreeElem.letter, skew_bracket,
-                          pbw_bracketing)
+                          pbw_bracketing, _free_chain)
 
 
 def word_greater(u: Word, v: Word) -> bool:

@@ -112,6 +112,8 @@ def closed_form_image(datum: QuantumDatum, k: int, m: int) -> ShuffleElem:
 
 _image_cache: "weakref.WeakKeyDictionary[QuantumDatum, dict]" = \
     weakref.WeakKeyDictionary()
+_chain_cache: "weakref.WeakKeyDictionary[QuantumDatum, dict]" = \
+    weakref.WeakKeyDictionary()
 
 
 def generator_image(datum: QuantumDatum, k: int, m: int) -> ShuffleElem:
@@ -120,13 +122,42 @@ def generator_image(datum: QuantumDatum, k: int, m: int) -> ShuffleElem:
     The bracketed word is built from shuffle letters with shuffle_bracket,
     [E, x] -> E * (x) - p(E, x) (x) * E, so no free-algebra element is
     expanded.  Agrees with eval_free(pbw_bracketing(k, m)) exactly (tested).
-    Images are memoized per datum (values are immutable, so sharing is safe).
+    Images are memoized per datum (values are immutable, so sharing is
+    safe), and so are the nested chains under them (:func:`_shuffle_chain`),
+    so a new image costs one bracket when its shorter chain is known.
     """
     cache = _image_cache.setdefault(datum, {})
     if (k, m) not in cache:
         cache[(k, m)] = bracketed_word(datum, k, m, ShuffleElem.letter,
-                                       shuffle_bracket, generator_image)
+                                       shuffle_bracket, generator_image,
+                                       _shuffle_chain)
     return cache[(k, m)]
+
+
+def _shuffle_chain(datum: QuantumDatum, word, right: bool) -> ShuffleElem:
+    """The left-nested (right-nested if ``right``) chain of the shuffle
+    letters of ``word``, memoized per datum by its physical letters.
+
+    A left chain [[.[y_1, y_2].], y_l] grows from its longest known prefix
+    with [chain, y]; a right chain [y_1, [.[y_{l-1}, y_l].]] grows from its
+    longest known suffix with [y, chain], so it is keyed by its letters
+    reversed.  The key is the letters, not the interval, since in series D
+    the prefix of a chain need not be an interval's word.  The loop keeps
+    the stack depth independent of the rank.
+    """
+    chains = _chain_cache.setdefault(datum, {})
+    key = tuple(datum.physical(i) for i in word)
+    if right:
+        key = key[::-1]
+    known = len(key)
+    while known > 1 and (right, key[:known]) not in chains:
+        known -= 1
+    out = chains[(right, key[:known])] if known > 1 else ShuffleElem.letter(datum, key[0])
+    for j in range(known, len(key)):
+        x = ShuffleElem.letter(datum, key[j])
+        out = shuffle_bracket(datum, x, out) if right else shuffle_bracket(datum, out, x)
+        chains[(right, key[:j + 1])] = out
+    return out
 
 
 @dataclass(frozen=True)

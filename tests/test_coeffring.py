@@ -1,10 +1,12 @@
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qborel import coeffring
 from qborel.coeffring import (EXP_LIMIT, DivisionByZero, ExponentOutOfRange,
                               LaurentPoly, MissingAssignment, NonDivisible,
                               PolyParseError, VarSet, VarSetMismatch,
@@ -75,6 +77,12 @@ def test_div_exact_examples():
         # the same on the general (multi-term divisor) path
         with pytest.raises(NonDivisible):
             div(Q + 1, 2 * Q + 2)
+        # as many terms as the divisor, yet not a monomial multiple of it
+        assert div(Q ** 3 + 1, Q + 1) == Q ** 2 - Q + 1
+        # a monomial quotient outside the exponent range
+        top = LaurentPoly.q(VS, EXP_LIMIT)
+        with pytest.raises(ExponentOutOfRange):
+            div(top * (T + 1), top.inverse() * (T + 1))
 
 
 def test_div_exact_rejects_by_value_at_ones():
@@ -482,3 +490,78 @@ def test_packed_guard_matches_tuple_reference(da, db):
         else:
             assert as_tuples(a / b) == want
             check_product(a / b, want, b, db)
+
+
+# -- the monomial-quotient fast path of div_exact ----------------------------
+
+QUOTIENT_EDGE = (-2 * EXP_LIMIT, -EXP_LIMIT - 1, -EXP_LIMIT, 1 - EXP_LIMIT,
+                 EXP_LIMIT - 1, EXP_LIMIT, EXP_LIMIT + 1, 2 * EXP_LIMIT)
+
+
+def _window_exponent(e):
+    """An exponent x with x and x + e both in range, often at an edge."""
+    lo, hi = max(-EXP_LIMIT, -EXP_LIMIT - e), min(EXP_LIMIT, EXP_LIMIT - e)
+    return st.sampled_from(sorted({min(max(x, lo), hi)
+                                   for x in (lo, lo + 1, -1, 0, 1, hi - 1, hi)}))
+
+
+@st.composite
+def monomial_multiples(draw):
+    """(m, b): a monomial m = f X^e, and b of two or more terms with m b in
+    range; the q exponent of m stays small, the others may leave the range."""
+    e = (draw(st.integers(-2, 2)),) + draw(st.tuples(
+        *[st.integers(-2, 2) | st.sampled_from(QUOTIENT_EDGE)] * (VS4.nvars - 1)))
+    f = draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1)))
+    db = draw(st.dictionaries(st.tuples(*map(_window_exponent, e)),
+                              st.integers(-4, 4).filter(bool), min_size=2, max_size=4))
+    return {e: f}, db
+
+
+@given(monomial_multiples())
+@settings(max_examples=150)
+def test_monomial_quotient_matches_reference(pair):
+    dm, db = pair
+    da = ref_mul(dm, db)
+    a, b = LaurentPoly(VS4, da), LaurentPoly(VS4, db)
+    assert ref_div(da, db) == dm
+    # one pass over the divisor answers it; long division is never entered
+    with mock.patch.object(coeffring, "_grlex_key", side_effect=AssertionError):
+        if out_of_range(dm):
+            with pytest.raises(ExponentOutOfRange):
+                a / b
+        else:
+            assert as_tuples(a / b) == dm
+
+
+SMALL_EXPS = st.tuples(*[st.integers(-2, 2)] * VS4.nvars)
+
+
+@given(SMALL_EXPS, st.integers(-3, 3).filter(bool),
+       st.dictionaries(SMALL_EXPS, st.integers(-4, 4).filter(bool),
+                       min_size=2, max_size=4),
+       st.sampled_from(("coefficient", "key", "lead")), st.data())
+@settings(max_examples=150)
+def test_same_length_near_misses_match_reference(e, f, db, miss, data):
+    da = ref_mul({e: f}, db)
+    if miss == "lead":
+        # a multiple of b divided by g b, with f not a multiple of g
+        g = data.draw(st.sampled_from((2, 3)))
+        if f % g == 0:
+            da = ref_mul({e: f + 1}, db)
+        db = {k: g * c for k, c in db.items()}
+    else:
+        key = data.draw(st.sampled_from(sorted(da)))
+        if miss == "coefficient":
+            step = data.draw(st.sampled_from((-2, -1, 1, 2)).filter(lambda s: s != -da[key]))
+            da[key] += step
+        else:
+            slot = data.draw(st.integers(0, VS4.nvars - 1))
+            moved = tuple(x + (v == slot) for v, x in enumerate(key))
+            da = ref_merge([*((k, c) for k, c in da.items() if k != key), (moved, da[key])])
+    a, b = LaurentPoly(VS4, da), LaurentPoly(VS4, db)
+    want = ref_div(da, db)
+    if want is None:
+        with pytest.raises(NonDivisible):
+            a / b
+    else:
+        assert as_tuples(a / b) == want

@@ -1,11 +1,16 @@
+import random
+import sys
+from functools import reduce
+
 import pytest
 
+import qborel.pbwgen
 from qborel.coeffring import LaurentPoly
 from qborel.datum import make_datum, reduce_mod
-from qborel.freeword import pbw_bracketing
+from qborel.freeword import bracketed_word, pbw_bracketing
 from qborel.pbwgen import (alpha, closed_form_image, epsilon, generator_image,
                            pbw_generators, tau_table)
-from qborel.shuffle import ShuffleElem, eval_free
+from qborel.shuffle import ShuffleElem, eval_free, shuffle_bracket
 
 C2 = make_datum("C", 2)
 C3 = make_datum("C", 3)
@@ -135,3 +140,86 @@ def test_pbw_generators_have_elements():
 def test_epsilon_at_the_fold():
     # m = phi(k) != n in series C: the exceptional factor is 1 + q^-1
     assert epsilon(C2, 1, 3) == 1 + q(C2, -1)
+
+
+# -- the memoised chains of generator_image against a plain fold --------------
+
+def _fold_chain(d, word, right):
+    xs = [ShuffleElem.letter(d, i) for i in word]
+    if right:
+        return reduce(lambda e, x: shuffle_bracket(d, x, e), reversed(xs))
+    return reduce(lambda e, x: shuffle_bracket(d, e, x), xs)
+
+
+def folded_image(d, k, m):
+    """generator_image with no memo: every chain is folded letter by letter."""
+    return bracketed_word(d, k, m, ShuffleElem.letter, shuffle_bracket,
+                          folded_image, _fold_chain)
+
+
+def all_intervals(d):
+    return [(k, m) for k in range(1, d.max_letter + 1)
+            for m in range(k, d.max_letter + 1)]
+
+
+MEMO_CASES = [(s, n) for s, ranks in (("A", range(2, 6)), ("C", range(2, 7)),
+                                      ("D", range(3, 7))) for n in ranks]
+
+
+@pytest.mark.parametrize("kind", ["multiparameter", "numeric", "mod-p"])
+@pytest.mark.parametrize("series,n", MEMO_CASES, ids=lambda c: str(c))
+def test_memoised_chains_match_the_fold(series, n, kind):
+    def fresh():
+        if kind == "mod-p":
+            return reduce_mod(make_datum(series, n, "numeric"), 2147483647)
+        return make_datum(series, n, kind)
+
+    d = fresh()
+    want = {km: folded_image(d, *km) for km in all_intervals(d)}
+    # a fresh datum starts with empty memos; a shuffled order makes chains
+    # grow from prefixes and suffixes that other intervals left behind
+    d = fresh()
+    order = all_intervals(d)
+    random.Random(f"{series}{n}{kind}").shuffle(order)
+    for km in order:
+        assert generator_image(d, *km) == want[km], km
+
+
+def test_one_bracket_per_image(monkeypatch):
+    calls = []
+
+    def counting_bracket(*args):
+        calls.append(1)
+        return shuffle_bracket(*args)
+
+    monkeypatch.setattr(qborel.pbwgen, "shuffle_bracket", counting_bracket)
+    intervals = 0
+    for series in ("C", "D"):
+        d = make_datum(series, 8, "numeric")
+        for k, m in all_intervals(d):
+            generator_image(d, k, m)
+            intervals += 1
+    assert intervals == 240
+    # a plain fold costs m - k brackets per interval, 967 in all
+    assert len(calls) <= intervals
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_chain_depth_does_not_grow_with_the_rank():
+    d = make_datum("C", 40, "numeric")
+    want = folded_image(d, 1, 79)
+    limit = sys.getrecursionlimit()
+    # building the 78-letter chain must not take a frame per letter
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        got = generator_image(d, 1, 79)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
