@@ -139,11 +139,14 @@ def _emit(args, text_lines, json_doc) -> None:
         print(payload)
 
 
+def _at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def _cmd_verify(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
-    if args.max_degree < 1:
-        raise ValueError(f"--max-degree must be at least 1, got {args.max_degree}")
+    _at_least_one("--count", args.count)
+    _at_least_one("--max-degree", args.max_degree)
     datum = _make_datum_for(args)
     reports = run_suites(datum, args.suite, seed=args.seed,
                          max_degree=args.max_degree, count=args.count)
@@ -200,6 +203,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_pbw(args) -> int:
+    _at_least_one("--max-degree", args.max_degree)
     datum = _make_datum_for(args)
     report = verify_pbw_independence(datum, args.max_degree, seed=args.seed)
     lines = [report.summary()]

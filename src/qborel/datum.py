@@ -155,32 +155,15 @@ class QuantumDatum:
     def p_phys(self, i: int, j: int):
         return self.p[i - 1][j - 1]
 
-    def p_letters(self, i: int, j: int):
-        """p at the physical indices of two (possibly folded) letters."""
-        return self.p[self.physical(i) - 1][self.physical(j) - 1]
-
     def p_words(self, u: Sequence[int], v: Sequence[int]):
-        """Product of p over all letter pairs; bimultiplicative by construction."""
+        """p(u, v), the product of p over all letter pairs: the one
+        bicharacter product.  It depends only on the multidegrees."""
         out = self._one
+        cols = [self.physical(b) - 1 for b in v]
         for a in u:
-            pa = self.p[self.physical(a) - 1]
-            for b in v:
-                out = out * pa[self.physical(b) - 1]
-        return out
-
-    def p_deg(self, du: Sequence[int], dv: Sequence[int]):
-        """p on multidegrees: prod_{i,j} p_ij^{du_i dv_j}.
-
-        Agrees with p_words on any words of those multidegrees.
-        """
-        out = self._one
-        for i, a in enumerate(du):
-            if not a:
-                continue
-            for j, b in enumerate(dv):
-                if not b:
-                    continue
-                out = out * self.p[i][j] ** (a * b)
+            row = self.p[self.physical(a) - 1]
+            for j in cols:
+                out = out * row[j]
         return out
 
     def multidegree(self, letters: Sequence[int]) -> tuple:

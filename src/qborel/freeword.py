@@ -9,12 +9,15 @@ elements is
     [u, v] = u v - p(u, v) v u,
 
 where p(u, v) depends only on the multidegrees, and the double bracket
-[[u, v]] scales p(u, v) by q^{-1}.  :func:`bracketed_word` states the
-nesting of the PBW generators once, for the free and the shuffle algebra.
+[[u, v]] scales p(u, v) by q^{-1}.  That formula is stated once, in
+:func:`_bracket`, for the free product here and for the shuffle product in
+:mod:`qborel.shuffle`; :func:`bracketed_word` states the nesting of the PBW
+generators once, over a bracket and a chain builder.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .coeffring import LinComb, add_terms
@@ -82,20 +85,22 @@ def multidegree(datum: QuantumDatum, f: LinComb) -> tuple | None:
     return deg
 
 
-def skew_bracket(datum: QuantumDatum, u: FreeElem, v: FreeElem,
-                 factor=None) -> FreeElem:
-    """u v - factor p(u, v) v u for homogeneous u, v (factor 1 if None).
-
-    factor = q^{-1} gives the double bracket [[u, v]].
-    """
-    du = multidegree(datum, u)
-    dv = multidegree(datum, v)
+def _bracket(datum: QuantumDatum, u: LinComb, v: LinComb, factor, mul) -> LinComb:
+    """mul(u, v) - factor p(u, v) mul(v, u) for homogeneous u, v (factor 1
+    if None), zero if either is; p is read off one word of each operand."""
+    du, dv = multidegree(datum, u), multidegree(datum, v)
     if du is None or dv is None:
-        return FreeElem.zero()
-    p = datum.p_deg(du, dv)
+        return u.zero()
+    p = datum.p_words(next(iter(u.terms)), next(iter(v.terms)))
     if factor is not None:
         p = factor * p
-    return u * v - (v * u).scale(p)
+    return mul(u, v) - mul(v, u).scale(p)
+
+
+def skew_bracket(datum: QuantumDatum, u: FreeElem, v: FreeElem,
+                 factor=None) -> FreeElem:
+    """[u, v] in the free algebra; factor = q^{-1} gives [[u, v]]."""
+    return _bracket(datum, u, v, factor, operator.mul)
 
 
 def left_nested(datum: QuantumDatum, factors: Sequence[FreeElem]) -> FreeElem:
@@ -114,30 +119,29 @@ def right_nested(datum: QuantumDatum, factors: Sequence[FreeElem]) -> FreeElem:
     return out
 
 
-def bracketed_word(datum: QuantumDatum, k: int, m: int, letter, bracket,
-                   prefix, chain):
+def bracketed_word(datum: QuantumDatum, k: int, m: int, bracket, chain):
     """The bracketed word v[k,m] (series A, C) or e[k,m] (series D).
 
     Left-nested below the fold (m < phi(k)), right-nested above it, and the
-    double bracket [[.[k,m-1]., x_m]] exactly at m = phi(k).  Series D at
-    (n, n) degenerates to [[x_n, x_n]], which is identically zero.  The
-    algebra is given by ``letter(datum, i)``, by ``bracket(datum, u, v,
-    factor)``, which scales p(u, v) by factor unless it is None, by
-    ``prefix(datum, k, m - 1)``, the bracketed word [k, m-1] in it, and by
-    ``chain(datum, word, right)``, the left-nested (right-nested if
-    ``right``) chain of the letters of ``word``, so a memoised caller
-    reuses the images and chains it has already built.
+    double bracket [[.[k,m-1]., x_m]] exactly at m = phi(k), where [k,m-1]
+    is the left chain of the word of [k,m] without its last letter.  Series
+    D at (n, n) degenerates to [[x_n, x_n]], which is identically zero.
+    The algebra is given by ``bracket(datum, u, v, factor)``, which scales
+    p(u, v) by factor unless it is None, and by ``chain(datum, word,
+    right)``, the left-nested (right-nested if ``right``) chain of the
+    letters of ``word``; a letter is its one-letter chain.  A memoised
+    ``chain`` reuses the chains it has already built.
     """
-    if datum.series == "D" and k == m == datum.n:
-        x = letter(datum, m)
-        return bracket(datum, x, x, datum.q_power(-1))
     word = datum.series_word(k, m)
+    if datum.series == "D" and k == m == datum.n:
+        x = chain(datum, word, False)
+        return bracket(datum, x, x, datum.q_power(-1))
     if len(word) == 1 or datum.series == "A" or m < datum.phi(k):
         return chain(datum, word, False)
     if m > datum.phi(k):
         return chain(datum, word, True)
-    return bracket(datum, prefix(datum, k, m - 1), letter(datum, word[-1]),
-                   datum.q_power(-1))
+    return bracket(datum, chain(datum, word[:-1], False),
+                   chain(datum, word[-1:], False), datum.q_power(-1))
 
 
 def _free_chain(datum: QuantumDatum, word: Sequence[int], right: bool) -> FreeElem:
@@ -147,8 +151,7 @@ def _free_chain(datum: QuantumDatum, word: Sequence[int], right: bool) -> FreeEl
 
 def pbw_bracketing(datum: QuantumDatum, k: int, m: int) -> FreeElem:
     """v[k,m] or e[k,m] in the free algebra (see :func:`bracketed_word`)."""
-    return bracketed_word(datum, k, m, FreeElem.letter, skew_bracket,
-                          pbw_bracketing, _free_chain)
+    return bracketed_word(datum, k, m, skew_bracket, _free_chain)
 
 
 def word_greater(u: Word, v: Word) -> bool:

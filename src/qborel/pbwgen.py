@@ -62,9 +62,8 @@ def alpha(datum: QuantumDatum, k: int, m: int):
         return datum.zero()
     letters = datum.series_word(k, m)
     out = epsilon(datum, k, m) * (datum.q_power(1) - datum.one()) ** (len(letters) - 1)
-    for a in range(len(letters)):
-        for b in range(a + 1, len(letters)):
-            out = out * datum.p_letters(letters[a], letters[b])
+    for b in range(1, len(letters)):
+        out = out * datum.p_words(letters[:b], letters[b:b + 1])
     return out
 
 
@@ -128,8 +127,7 @@ def generator_image(datum: QuantumDatum, k: int, m: int) -> ShuffleElem:
     """
     cache = _image_cache.setdefault(datum, {})
     if (k, m) not in cache:
-        cache[(k, m)] = bracketed_word(datum, k, m, ShuffleElem.letter,
-                                       shuffle_bracket, generator_image,
+        cache[(k, m)] = bracketed_word(datum, k, m, shuffle_bracket,
                                        _shuffle_chain)
     return cache[(k, m)]
 

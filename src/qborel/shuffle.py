@@ -18,13 +18,14 @@ tree is evaluated bracket by bracket in the shuffle algebra instead.
 from __future__ import annotations
 
 import re
+from functools import partial
 from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
 from .coeffring import LinComb, add_terms
 from .datum import QuantumDatum
-from .freeword import FreeElem, multidegree
+from .freeword import FreeElem, _bracket
 
 
 class ShuffleElem(LinComb):
@@ -137,18 +138,14 @@ def _placements(base: tuple, ins: tuple, rows, c):
 
 def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
                     factor=None) -> ShuffleElem:
-    """a * b - factor p(a, b) b * a for homogeneous a, b (factor 1 if None).
+    """a * b - factor p(a, b) b * a under the shuffle product, for
+    homogeneous a, b (factor 1 if None): the bracket formula of
+    :mod:`qborel.freeword`.
 
     The image of the skew bracket [u, v] is shuffle_bracket(eval(u),
     eval(v)), and that of the double bracket takes factor = q^{-1}.
     """
-    da, db = multidegree(datum, a), multidegree(datum, b)
-    if da is None or db is None:
-        return ShuffleElem.zero()
-    p = datum.p_deg(da, db)
-    if factor is not None:
-        p = factor * p
-    return shuffle_mul(datum, a, b) - shuffle_mul(datum, b, a).scale(p)
+    return _bracket(datum, a, b, factor, partial(shuffle_mul, datum))
 
 
 def eval_word(datum: QuantumDatum, word: Sequence[int]) -> ShuffleElem:

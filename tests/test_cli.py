@@ -212,6 +212,17 @@ def test_verify_max_degree_checked_before_any_suite(capsys):
     assert "--max-degree" in captured.err
 
 
+@pytest.mark.parametrize("max_degree", ["0", "-1"])
+def test_pbw_max_degree_must_be_positive(max_degree, capsys):
+    code = run_command(["pbw", "--series", "C", "--rank", "2",
+                        "--max-degree", max_degree])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --max-degree must be at least 1, "
+                            f"got {max_degree}\n")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = run_command(["verify", "--series", "C", "--rank", "2",

@@ -178,9 +178,9 @@ def test_reduce_mod_refuses_non_units():
 def test_letters_and_folding():
     assert C3.physical(5) == 1
     assert C3.phi(1) == 5
-    assert C3.p_letters(5, 2) == t(C3, 1, 2)
-    assert C2.p_letters(2, 2) == q(C2, 2)
-    assert D4.p_letters(3, 4) * D4.p_letters(4, 3) == D4.one()
+    assert C3.p_words((5,), (2,)) == t(C3, 1, 2)
+    assert C2.p_words((2,), (2,)) == q(C2, 2)
+    assert D4.p_words((3,), (4,)) * D4.p_words((4,), (3,)) == D4.one()
     with pytest.raises(IndexOutOfRange):
         C3.physical(6)
     with pytest.raises(IndexOutOfRange):
@@ -201,7 +201,29 @@ def test_p_words_bimultiplicative(u, w, v):
     u, w, v = tuple(u), tuple(w), tuple(v)
     assert C3.p_words(u + w, v) == C3.p_words(u, v) * C3.p_words(w, v)
     assert C3.p_words(v, u + w) == C3.p_words(v, u) * C3.p_words(v, w)
-    assert C3.p_words(u, v) == C3.p_deg(C3.multidegree(u), C3.multidegree(v))
+
+
+P_WORDS_DATA = {"C3": C3, "D4": D4,
+                "C3 mod p": reduce_mod(make_datum("C", 3, "numeric"), 2147483647)}
+
+
+@pytest.mark.parametrize("name", sorted(P_WORDS_DATA))
+@given(data=st.data())
+@settings(max_examples=40)
+def test_p_words_depends_only_on_multidegrees(name, data):
+    # brackets read p off one word of each operand, so any two words of the
+    # same multidegrees must give the same p: reorder the letters of each
+    # word, and swap letters x_i and x_{2n-i}, which fold to one generator
+    d = P_WORDS_DATA[name]
+    word = st.lists(st.integers(1, d.max_letter), max_size=4)
+    u, v = data.draw(word), data.draw(word)
+
+    def edit(w):
+        w = data.draw(st.permutations(w))
+        return tuple(d.phi(i) if data.draw(st.booleans()) else i
+                     for i in w)
+
+    assert d.p_words(edit(u), edit(v)) == d.p_words(tuple(u), tuple(v))
 
 
 def test_sigma_examples():

@@ -92,8 +92,8 @@ def words(max_letter, max_len=3):
 def test_jacobi_identity(wu, wv, ww):
     d = C3
     u, v, w = (FreeElem.word(z, d.one()) for z in (wu, wv, ww))
-    p_wv = d.p_deg(d.multidegree(ww), d.multidegree(wv))
-    p_vw = d.p_deg(d.multidegree(wv), d.multidegree(ww))
+    p_wv = d.p_words(ww, wv)
+    p_vw = d.p_words(wv, ww)
     lhs = skew_bracket(d, skew_bracket(d, u, v), w)
     rhs = (skew_bracket(d, u, skew_bracket(d, v, w))
            + skew_bracket(d, skew_bracket(d, u, w), v).scale(p_wv.inverse())
@@ -106,8 +106,8 @@ def test_jacobi_identity(wu, wv, ww):
 def test_antisymmetry_identity(wu, wv):
     d = D4
     u, v = (FreeElem.word(z, d.one()) for z in (wu, wv))
-    p_uv = d.p_deg(d.multidegree(wu), d.multidegree(wv))
-    p_vu = d.p_deg(d.multidegree(wv), d.multidegree(wu))
+    p_uv = d.p_words(wu, wv)
+    p_vu = d.p_words(wv, wu)
     lhs = skew_bracket(d, u, v)
     rhs = (-skew_bracket(d, v, u).scale(p_uv)
            + (u * v).scale(d.one() - p_uv * p_vu))
@@ -119,8 +119,8 @@ def test_antisymmetry_identity(wu, wv):
 def test_ad_identities(wu, wv, ww):
     d = C3
     u, v, w = (FreeElem.word(z, d.one()) for z in (wu, wv, ww))
-    p_vw = d.p_deg(d.multidegree(wv), d.multidegree(ww))
-    p_uv = d.p_deg(d.multidegree(wu), d.multidegree(wv))
+    p_vw = d.p_words(wv, ww)
+    p_uv = d.p_words(wu, wv)
     assert skew_bracket(d, u * v, w) == \
         (skew_bracket(d, u, w) * v).scale(p_vw) + u * skew_bracket(d, v, w)
     assert skew_bracket(d, u, v * w) == \

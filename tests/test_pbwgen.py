@@ -7,7 +7,8 @@ import pytest
 import qborel.pbwgen
 from qborel.coeffring import LaurentPoly
 from qborel.datum import make_datum, reduce_mod
-from qborel.freeword import bracketed_word, pbw_bracketing
+from qborel.freeword import (FreeElem, bracketed_word, pbw_bracketing,
+                             skew_bracket)
 from qborel.pbwgen import (alpha, closed_form_image, epsilon, generator_image,
                            pbw_generators, tau_table)
 from qborel.shuffle import ShuffleElem, eval_free, shuffle_bracket
@@ -109,7 +110,7 @@ def test_alpha_left_extension_multiplicativity():
             for i in range(k, m + 1):
                 if i == n - 1:
                     continue
-                prod = prod * d.p_letters(i, m + 1)
+                prod = prod * d.p_words((i,), (m + 1,))
             want = alpha(d, k, m) * (q(d) - 1) * prod
             assert alpha(d, k, m + 1) == want, (k, m)
 
@@ -142,6 +143,29 @@ def test_epsilon_at_the_fold():
     assert epsilon(C2, 1, 3) == 1 + q(C2, -1)
 
 
+# -- the double bracket's left operand ------------------------------------------
+
+@pytest.mark.parametrize("series,n", [("C", n) for n in range(2, 13)]
+                         + [("D", n) for n in range(3, 13)])
+def test_fold_word_drops_its_last_letter_to_the_shorter_word(series, n):
+    # bracketed_word takes [k, phi(k)-1] as the left chain of the word of
+    # [k, phi(k)] without its last letter
+    d = make_datum(series, n, "numeric")
+    for k in range(1, n):
+        assert d.series_word(k, d.phi(k))[:-1] == d.series_word(k, d.phi(k) - 1)
+
+
+@pytest.mark.parametrize("series,n", [("C", 2), ("C", 3), ("C", 4),
+                                      ("D", 3), ("D", 4)])
+def test_double_bracket_is_the_bracket_of_the_shorter_word(series, n):
+    d = make_datum(series, n)
+    for k in range(1, n):
+        m = d.phi(k)
+        want = skew_bracket(d, pbw_bracketing(d, k, m - 1),
+                            FreeElem.letter(d, m), q(d, -1))
+        assert pbw_bracketing(d, k, m) == want, (k, m)
+
+
 # -- the memoised chains of generator_image against a plain fold --------------
 
 def _fold_chain(d, word, right):
@@ -153,8 +177,7 @@ def _fold_chain(d, word, right):
 
 def folded_image(d, k, m):
     """generator_image with no memo: every chain is folded letter by letter."""
-    return bracketed_word(d, k, m, ShuffleElem.letter, shuffle_bracket,
-                          folded_image, _fold_chain)
+    return bracketed_word(d, k, m, shuffle_bracket, _fold_chain)
 
 
 def all_intervals(d):
