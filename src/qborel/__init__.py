@@ -3,7 +3,7 @@ of types A_n, C_n, D_n inside the braided quantum shuffle algebra."""
 
 from .coeffring import (LaurentPoly, VarSet, NonDivisible, DivisionByZero,
                         ExponentOutOfRange, MissingAssignment, VarSetMismatch,
-                        ZeroAssignment, parse_poly)
+                        ZeroAssignment)
 from .datum import (IndexOutOfRange, InvalidRank,
                     NumericAssignmentHitsExcludedRoot, QuantumDatum,
                     make_datum, mu, sigma, sigma_closed_form)

@@ -180,7 +180,8 @@ def _cmd_coproduct(args) -> int:
               {"command": "coproduct", "series": args.series, "rank": args.rank,
                "k": args.k, "m": args.m, "passed": False, "witness": str(exc)})
         return 1
-    _emit(args, formula.text_lines(), formula.to_json_dict())
+    _emit(args, formula.text_lines(),
+          {"command": "coproduct", **formula.to_json_dict(), "passed": True})
     return 0
 
 

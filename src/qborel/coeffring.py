@@ -48,14 +48,6 @@ class ZeroAssignment(ValueError):
     """Raised when a Laurent variable is assigned zero (it must be a unit)."""
 
 
-class PolyParseError(ValueError):
-    """Raised on malformed polynomial text; carries the byte offset."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
-        self.offset = offset
-
-
 class VarSet:
     """The variables q, t_12, t_13, ..., t_{n-1,n} of a rank-n datum.
 
@@ -167,10 +159,10 @@ class LaurentPoly:
         return cls.integer(vs, 1)
 
     @classmethod
-    def var(cls, vs: VarSet, name: str, exp: int = 1, coeff: int = 1) -> "LaurentPoly":
+    def var(cls, vs: VarSet, name: str, exp: int = 1) -> "LaurentPoly":
         e = [0] * vs.nvars
         e[vs.index(name)] = exp
-        return cls(vs, {tuple(e): coeff})
+        return cls(vs, {tuple(e): 1})
 
     @classmethod
     def q(cls, vs: VarSet, exp: int = 1) -> "LaurentPoly":
@@ -505,110 +497,6 @@ def _laurent(vs: VarSet, terms: dict, bound: int) -> LaurentPoly:
     p.terms = terms
     p._bound = bound
     return p
-
-
-# -- parsing ---------------------------------------------------------------
-
-def parse_poly(text: str, vs: VarSet) -> LaurentPoly:
-    """Parse the canonical text form back into a polynomial.
-
-    Accepts the grammar  expr := ['-'] term (('+'|'-') term)* ;
-    term := factor ('*' factor)* ; factor := base ['^' int] ;
-    base := INT | 'q' | 't_i_j' | '(' expr ')'.
-    """
-    return _PolyParser(text, vs).parse()
-
-
-class _PolyParser:
-    def __init__(self, text: str, vs: VarSet):
-        self.text = text
-        self.vs = vs
-        self.pos = 0
-
-    def parse(self) -> LaurentPoly:
-        value = self._expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise PolyParseError("trailing input", self.pos)
-        return value
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _expr(self) -> LaurentPoly:
-        sign = 1
-        if self._peek() == "-":
-            self.pos += 1
-            sign = -1
-        value = self._term() * sign
-        while True:
-            ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                value = value + self._term()
-            elif ch == "-":
-                self.pos += 1
-                value = value - self._term()
-            else:
-                return value
-
-    def _term(self) -> LaurentPoly:
-        value = self._factor()
-        while self._peek() == "*":
-            self.pos += 1
-            value = value * self._factor()
-        return value
-
-    def _factor(self) -> LaurentPoly:
-        base = self._base()
-        if self._peek() == "^":
-            self.pos += 1
-            exp = self._int()
-            try:
-                return base ** exp
-            except NonDivisible:
-                raise PolyParseError("negative power of a non-unit", self.pos)
-        return base
-
-    def _base(self) -> LaurentPoly:
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            value = self._expr()
-            if self._peek() != ")":
-                raise PolyParseError("expected ')'", self.pos)
-            self.pos += 1
-            return value
-        if ch.isdigit():
-            return LaurentPoly.integer(self.vs, self._int())
-        if ch == "q" or ch == "t":
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start:self.pos]
-            try:
-                return LaurentPoly.var(self.vs, name)
-            except KeyError:
-                raise PolyParseError(f"unknown variable {name!r}", start)
-        raise PolyParseError("expected a factor", self.pos)
-
-    def _int(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            raise PolyParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
 
 
 # -- residues modulo a prime -------------------------------------------------

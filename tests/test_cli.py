@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qborel
 from qborel.cli import (MAX_EXPR_DEPTH, BracketSyntaxError, bind_expr,
                         parse_expr, run_command)
-from qborel.coeffring import parse_poly
 from qborel.datum import IndexOutOfRange, make_datum
 from qborel.freeword import FreeElem, skew_bracket
+from qborel.pbwgen import tau_table
 from qborel.shuffle import eval_free
 
 
@@ -103,8 +107,11 @@ def test_eval_command_json_roundtrip(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["command"] == "eval"
     d = make_datum("C", 2)
-    for term in doc["terms"]:
-        parse_poly(term["coefficient"], d.varset)  # canonical form re-parses
+    image = bind_expr(d, parse_expr("qb([x1,x2],x3)"))
+    assert doc["terms"] == [
+        {"comonomial": [f"x{i}" for i in z], "coefficient": str(c)}
+        for z, c in image.sorted_terms()
+    ]
 
 
 def test_coproduct_command_json(capsys):
@@ -113,15 +120,20 @@ def test_coproduct_command_json(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert {"series", "rank", "k", "m", "terms"} <= set(doc)
+    assert next(iter(doc)) == "command" and doc["command"] == "coproduct"
+    assert doc["passed"] is True
     assert doc["series"] == "D" and doc["k"] == 1 and doc["m"] == 7
     d = make_datum("D", 4)
     by_i = {t["i"]: t for t in doc["terms"]}
     assert by_i[3]["tau"] == "t_3_4^-1"  # p_{4,3} in the multiparameter datum
     assert by_i[3]["left"] == "e[4,7]" and by_i[3]["right"] == "e[1,3]"
     assert by_i[3]["grouplike"] == [1, 1, 1, 0]
+    taus = tau_table(d, 1, 7)
+    one_minus_qinv = 1 - d.q_power(-1)
     for t in doc["terms"]:
-        assert parse_poly(t["tau"], d.varset) is not None
-        assert parse_poly(t["coefficient"], d.varset) is not None
+        tau = taus[t["i"]]
+        assert t["tau"] == str(tau)
+        assert t["coefficient"] == str(tau * one_minus_qinv)
 
 
 def test_coproduct_text_lists_tau(capsys):
@@ -262,3 +274,14 @@ def test_mode_auto_is_refused(command, capsys):
                         "--mode", "auto", *command[1:]])
     assert code == 2
     assert "--mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite,code", [("sigma", 0), ("bogus", 2)])
+def test_module_entry_point_exit_code(suite, code):
+    # main() hands run_command's code to sys.exit in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(qborel.__file__))
+    out = subprocess.run([sys.executable, "-m", "qborel.cli", "verify",
+                          "--series", "C", "--rank", "2", "--suite", suite],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == code, out.stderr

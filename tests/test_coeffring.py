@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from qborel import coeffring
 from qborel.coeffring import (EXP_LIMIT, DivisionByZero, ExponentOutOfRange,
                               LaurentPoly, MissingAssignment, NonDivisible,
-                              PolyParseError, VarSet, VarSetMismatch,
-                              ZeroAssignment, add_terms, parse_poly,
-                              residue_field)
+                              VarSet, VarSetMismatch, ZeroAssignment,
+                              add_terms, residue_field)
 
 VS = VarSet(2)  # variables q, t_1_2
 Q = LaurentPoly.q(VS)
@@ -178,20 +177,13 @@ def test_canonical_string():
     assert str((Q ** 2 - 1) * T) == "(q^2-1)*t_1_2"
 
 
-@given(polys())
+@given(polys(), polys())
 @settings(max_examples=200)
-def test_string_roundtrip(a):
-    assert parse_poly(str(a), VS) == a
-
-
-def test_parse_errors():
-    with pytest.raises(PolyParseError) as err:
-        parse_poly("q +", VS)
-    assert err.value.offset == 3
-    with pytest.raises(PolyParseError):
-        parse_poly("t_9_9", VS)
-    with pytest.raises(PolyParseError):
-        parse_poly("(q-1)^-1", VS)
+def test_string_roundtrip(a, b):
+    # the text form tells polynomials apart, and it is canonical: building
+    # a through other sums (another dict order) leaves its string unchanged
+    assert (str(a) == str(b)) == (a == b)
+    assert str((b + a) - b) == str(a)
 
 
 def test_hash_consistency():
@@ -287,8 +279,6 @@ def test_exponent_range_guard():
         LaurentPoly.q(VS, 2 ** 40)
     with pytest.raises(ExponentOutOfRange):
         LaurentPoly(VS, {(0, -EXP_LIMIT - 1): 1})
-    with pytest.raises(ExponentOutOfRange):
-        parse_poly("q^99999999999", VS)
     top = LaurentPoly.q(VS, EXP_LIMIT)
     for overflow in (lambda: top * Q, lambda: top / Q.inverse(),
                      lambda: (top + 1) * (Q + 1), lambda: top.inverse() * Q.inverse()):
@@ -317,7 +307,6 @@ def test_exponents_just_inside_the_range():
     p = LaurentPoly.q(VS, EXP_LIMIT) * T ** -EXP_LIMIT
     assert p.terms == {VS.pack((EXP_LIMIT, -EXP_LIMIT)): 1}
     assert VS.unpack(VS.pack((EXP_LIMIT, -EXP_LIMIT))) == (EXP_LIMIT, -EXP_LIMIT)
-    assert parse_poly(str(p), VS) == p
     assert str(p) == f"q^{EXP_LIMIT}*t_1_2^-{EXP_LIMIT}"
     assert p * p.inverse() == ONE
     assert Q ** EXP_LIMIT == LaurentPoly.q(VS, EXP_LIMIT)
@@ -436,7 +425,6 @@ def test_packed_matches_tuple_reference(da, db, point):
     assert a.evaluate(dict(zip(VS4.names, point))) == ref_evaluate(da, point)
     if a.is_unit():
         assert as_tuples(a.inverse()) == ref_inverse(da)
-    assert str(parse_poly(str(a), VS4)) == str(a)
     assert len({LaurentPoly.one(VS4), 1}) == 1
     if not db:
         return
