@@ -222,21 +222,28 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        """The product; a one-term operand on either side shifts the other's
+        keys in one pass, and otherwise the shorter operand is the outer
+        loop of the term-by-term sum."""
+        if other.__class__ is LaurentPoly:
+            if self.vs is not other.vs:
+                self._check(other)
+        else:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self.terms, other.terms
         if not a or not b:
-            return LaurentPoly.zero(self.vs)
+            return _laurent(self.vs, {}, 0)
         bound = self._bound + other._bound
+        if len(a) < len(b):
+            a, b = b, a
         if len(b) == 1:
             (kb, cb), = b.items()
             return _laurent(self.vs, {k + kb: c * cb for k, c in a.items()}, bound)
-        if len(a) == 1:
-            return other * self
         out: dict = {}
-        for ka, ca in a.items():
-            add_terms(out, ((ka + kb, ca * cb) for kb, cb in b.items()))
+        for kb, cb in b.items():
+            add_terms(out, ((ka + kb, ca * cb) for ka, ca in a.items()))
         return _laurent(self.vs, out, bound)
 
     __rmul__ = __mul__

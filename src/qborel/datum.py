@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffring import (LaurentPoly, MissingAssignment, VarSet, ZeroAssignment,
-                        residue_field)
+from .coeffring import (EXP_LIMIT, LaurentPoly, MissingAssignment, VarSet,
+                        ZeroAssignment, _laurent, residue_field)
 
 SERIES = ("A", "C", "D")
 MODES = ("multiparameter", "one-parameter", "numeric")
@@ -92,7 +92,8 @@ class QuantumDatum:
     """Immutable quantum datum; construct through :func:`make_datum`."""
 
     __slots__ = ("series", "n", "mode", "cartan", "d", "varset", "assignment",
-                 "p", "q", "_p_inv", "_one", "_zero", "__weakref__")
+                 "p", "q", "_p_inv", "_b", "_index", "_p_keys", "_p_bound",
+                 "_one", "_zero", "__weakref__")
 
     def __init__(self, series, n, mode, cartan, d, varset, assignment, p, q):
         self.series = series
@@ -105,6 +106,18 @@ class QuantumDatum:
         self.p = p
         self.q = q
         self._p_inv = tuple(tuple(x ** -1 for x in row) for row in p)
+        # p(x, y) p(y, x) = q^{b(x, y)} with b(x, y) = d_x a_xy, symmetric
+        self._b = tuple(tuple(di * a for a in row) for di, row in zip(d, cartan))
+        # letter -> 0-based physical index; slot 0 is no letter
+        self._index = (None,) + tuple(self.physical(i) - 1
+                                      for i in range(1, self.max_letter + 1))
+        # the packed keys of p when every entry is a monomial with
+        # coefficient 1 (the Laurent tables of make_datum), else None
+        self._p_keys = self._p_bound = None
+        if all(isinstance(x, LaurentPoly) and list(x.terms.values()) == [1]
+               for row in p for x in row):
+            self._p_keys = tuple(tuple(next(iter(x.terms)) for x in row) for row in p)
+            self._p_bound = max(x._bound for row in p for x in row)
         self._one = q ** 0
         self._zero = q * 0
         self._verify_relations()
@@ -155,13 +168,35 @@ class QuantumDatum:
     def p_phys(self, i: int, j: int):
         return self.p[i - 1][j - 1]
 
+    def _indices(self, letters: Sequence[int]) -> list:
+        """The 0-based physical index of each letter, IndexOutOfRange for
+        a letter outside 1..max_letter."""
+        # a letter below 1 would wrap the index tuple, so it is refused first
+        try:
+            if min(letters, default=1) > 0:
+                return [self._index[a] for a in letters]
+        except IndexError:
+            pass
+        raise IndexOutOfRange(f"letters {tuple(letters)} outside 1..{self.max_letter} "
+                              f"for {self.series}_{self.n}")
+
     def p_words(self, u: Sequence[int], v: Sequence[int]):
         """p(u, v), the product of p over all letter pairs: the one
-        bicharacter product.  It depends only on the multidegrees."""
+        bicharacter product.  It depends only on the multidegrees.
+
+        Over a table of monic monomials the packed keys of the pairs are
+        summed into one monomial; other scalars are multiplied pair by pair.
+        """
+        rows, cols = self._indices(u), self._indices(v)
+        keys = self._p_keys
+        if keys is not None:
+            bound = len(rows) * len(cols) * self._p_bound
+            if bound <= EXP_LIMIT:
+                key = sum(sum(map(keys[i].__getitem__, cols)) for i in rows)
+                return _laurent(self.varset, {key: 1}, bound)
         out = self._one
-        cols = [self.physical(b) - 1 for b in v]
-        for a in u:
-            row = self.p[self.physical(a) - 1]
+        for i in rows:
+            row = self.p[i]
             for j in cols:
                 out = out * row[j]
         return out

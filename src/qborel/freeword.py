@@ -10,14 +10,15 @@ elements is
 
 where p(u, v) depends only on the multidegrees, and the double bracket
 [[u, v]] scales p(u, v) by q^{-1}.  That formula is stated once, in
-:func:`_bracket`, for the free product here and for the shuffle product in
-:mod:`qborel.shuffle`; :func:`bracketed_word` states the nesting of the PBW
-generators once, over a bracket and a chain builder.
+:func:`_bracket`, which also checks homogeneity for both algebras; here it
+is computed from two concatenation products, and :mod:`qborel.shuffle`
+computes its shuffle image in one pass over the interleavings.
+:func:`bracketed_word` states the nesting of the PBW generators once, over
+a bracket and a chain builder.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Sequence
 
 from .coeffring import LinComb, add_terms
@@ -85,22 +86,29 @@ def multidegree(datum: QuantumDatum, f: LinComb) -> tuple | None:
     return deg
 
 
-def _bracket(datum: QuantumDatum, u: LinComb, v: LinComb, factor, mul) -> LinComb:
-    """mul(u, v) - factor p(u, v) mul(v, u) for homogeneous u, v (factor 1
-    if None), zero if either is; p is read off one word of each operand."""
+def _bracket(datum: QuantumDatum, u: LinComb, v: LinComb, factor, body) -> LinComb:
+    """[u, v] = u v - factor p(u, v) v u for homogeneous u, v (factor 1 if
+    None), zero if either is zero; ``body(datum, u, v, factor)`` computes
+    it for two nonzero homogeneous operands."""
     du, dv = multidegree(datum, u), multidegree(datum, v)
     if du is None or dv is None:
         return u.zero()
+    return body(datum, u, v, factor)
+
+
+def _two_products(datum: QuantumDatum, u: FreeElem, v: FreeElem, factor) -> FreeElem:
+    """u v - factor p(u, v) v u by two concatenation products; p is read
+    off one word of each operand."""
     p = datum.p_words(next(iter(u.terms)), next(iter(v.terms)))
     if factor is not None:
         p = factor * p
-    return mul(u, v) - mul(v, u).scale(p)
+    return u * v - (v * u).scale(p)
 
 
 def skew_bracket(datum: QuantumDatum, u: FreeElem, v: FreeElem,
                  factor=None) -> FreeElem:
     """[u, v] in the free algebra; factor = q^{-1} gives [[u, v]]."""
-    return _bracket(datum, u, v, factor, operator.mul)
+    return _bracket(datum, u, v, factor, _two_products)
 
 
 def left_nested(datum: QuantumDatum, factors: Sequence[FreeElem]) -> FreeElem:

@@ -175,15 +175,24 @@ class PBWGenerator:
         return f"[{self.k},{self.m}]"
 
 
+def is_pbw_interval(datum: QuantumDatum, k: int, m: int) -> bool:
+    """True when (k, m) is an interval of the PBW family: 1 <= k <= m and
+    m <= n (series A), k <= n and m <= phi(k) (series C), or k < n and
+    m < phi(k) (series D)."""
+    if not 1 <= k <= m:
+        return False
+    if datum.series == "A":
+        return m <= datum.n
+    if datum.series == "C":
+        return k <= datum.n and m <= datum.phi(k)
+    return k < datum.n and m < datum.phi(k)
+
+
 def pbw_intervals(datum: QuantumDatum) -> list:
     """The (k, m) intervals of the PBW family, in no particular order."""
-    n = datum.n
-    if datum.series == "A":
-        return [(k, m) for k in range(1, n + 1) for m in range(k, n + 1)]
-    if datum.series == "C":
-        return [(k, m) for k in range(1, n + 1)
-                for m in range(k, datum.phi(k) + 1)]
-    return [(k, m) for k in range(1, n) for m in range(k, datum.phi(k))]
+    top = datum.max_letter
+    return [(k, m) for k in range(1, top + 1) for m in range(k, top + 1)
+            if is_pbw_interval(datum, k, m)]
 
 
 def pbw_generators(datum: QuantumDatum) -> list:

@@ -6,19 +6,21 @@ letter indices, since folded letters denote the same generator.  The
 braided (quantum) shuffle product of Rosso sums over all shuffles of two
 comonomials u and v, and a shuffle pays p(y, x)^{-1} for every letter y of
 v that lands before a letter x of u; with v a single letter this is the
-right letter product (w)(x_i) = sum_{uv=w} p(x_i, v)^{-1} (u x_i v).  The
-braided coproduct is deconcatenation over all split points.  The map
-x_i -> (x_i) extends to the evaluation homomorphism from free-algebra
-elements, computed by grouping words on their last letter so that each
-letter product acts on an already merged sum (``eval_word`` keeps the
-word-by-word reference).  Since evaluation is a homomorphism, a bracket
-tree is evaluated bracket by bracket in the shuffle algebra instead.
+right letter product (w)(x_i) = sum_{uv=w} p(x_i, v)^{-1} (u x_i v).  A
+bracket a * b - c p(a, b) b * a runs over those shuffles once, weighting
+each by 1 - c q^E for its crossing energy E (:func:`shuffle_bracket`),
+instead of building both products.  The braided coproduct is
+deconcatenation over all split points.  The map x_i -> (x_i) extends to
+the evaluation homomorphism from free-algebra elements, computed by
+grouping words on their last letter so that each letter product acts on
+an already merged sum (``eval_word`` keeps the word-by-word reference).
+Since evaluation is a homomorphism, a bracket tree is evaluated bracket by
+bracket in the shuffle algebra instead.
 """
 
 from __future__ import annotations
 
 import re
-from functools import partial
 from itertools import accumulate
 from operator import mul
 from typing import Sequence
@@ -140,12 +142,93 @@ def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
                     factor=None) -> ShuffleElem:
     """a * b - factor p(a, b) b * a under the shuffle product, for
     homogeneous a, b (factor 1 if None): the bracket formula of
-    :mod:`qborel.freeword`.
+    :mod:`qborel.freeword`, computed in one pass.
+
+    For comonomials u of a and v of b, a * b and b * a run over the same
+    interleavings sigma of u and v.  Let w(sigma) be the a * b weight, the
+    product of p(y, x)^{-1} over each letter y of v placed before a letter
+    x of u, and E(sigma) the sum of b(x, y) = d_x a_xy over the same
+    pairs.  Since p(x, y) p(y, x) = q^{b(x, y)}, p(u, v) times the b * a
+    weight of sigma is w(sigma) q^{E(sigma)}, so the bracket is
+
+        sum over u, v, sigma of c_u c_v w(sigma) (1 - factor q^{E(sigma)}) sigma.
+
+    The scalar 1 - factor q^E is computed once per distinct E, and an
+    interleaving whose scalar is zero is skipped before its word is built:
+    E = 0 for the skew bracket and E = 1 for the double bracket, and over
+    GF(p), where q has finite order, other E as well.
 
     The image of the skew bracket [u, v] is shuffle_bracket(eval(u),
     eval(v)), and that of the double bracket takes factor = q^{-1}.
     """
-    return _bracket(datum, a, b, factor, partial(shuffle_mul, datum))
+    return _bracket(datum, a, b, factor, _one_pass_bracket)
+
+
+class _LeafScalars(dict):
+    """1 - factor q^E by energy E, each computed on first use."""
+
+    def __init__(self, datum: QuantumDatum, factor):
+        super().__init__()
+        self.datum, self.factor = datum, factor
+
+    def __missing__(self, e: int):
+        qe = self.datum.q_power(e)
+        f = self[e] = self.datum.one() - (qe if self.factor is None else self.factor * qe)
+        return f
+
+
+def _one_pass_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
+                      factor) -> ShuffleElem:
+    """The sum of :func:`shuffle_bracket`, placing the letters of the
+    shorter comonomial of each pair into the longer one as
+    :func:`shuffle_mul` does."""
+    rows, energy = datum._p_inv, datum._b
+    cols = None
+    scalars = _LeafScalars(datum, factor)
+    out: dict = {}
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            if len(v) <= len(u):
+                add_terms(out, _bracket_leaves(u, v, rows, energy, scalars, cu * cv, 0))
+            else:
+                # the energy table is symmetric, so only p is transposed
+                cols = cols or tuple(zip(*rows))
+                add_terms(out, ((z[::-1], c) for z, c in
+                                _bracket_leaves(v[::-1], u[::-1], cols, energy,
+                                                scalars, cu * cv, 0)))
+    return ShuffleElem._fresh(out)
+
+
+def _bracket_leaves(base: tuple, ins: tuple, rows, energy, scalars, c, e):
+    """(word, c times weight times scalars[E]) for each placement of ins,
+    in order, into base whose scalar is nonzero.
+
+    As in :func:`_placements`, a letter y placed before base[s:] weighs
+    rows[y-1][z-1] for each letter z of base[s:]; it also adds
+    energy[y-1][z-1] to the energy E, which starts at e.
+    """
+    if not ins:
+        f = scalars[e]
+        if f:
+            yield base, c * f
+        return
+    y, rest = ins[0], ins[1:]
+    row = (None,) + rows[y - 1]
+    brow = (None,) + energy[y - 1]
+    rbase = base[::-1]
+    # s runs down from the end of base, one more letter of base[s:] per step
+    steps = zip(range(len(base), -1, -1),
+                accumulate(map(row.__getitem__, rbase), mul, initial=c),
+                accumulate(map(brow.__getitem__, rbase), initial=e))
+    if rest:
+        for s, cs, es in steps:
+            for tail, ct in _bracket_leaves(base[s:], rest, rows, energy, scalars, cs, es):
+                yield base[:s] + (y,) + tail, ct
+    else:
+        for s, cs, es in steps:
+            f = scalars[es]
+            if f:
+                yield base[:s] + (y,) + base[s:], cs * f
 
 
 def eval_word(datum: QuantumDatum, word: Sequence[int]) -> ShuffleElem:

@@ -24,7 +24,7 @@ from .coeffring import NonDivisible, add_terms
 from .datum import (NonUnitModP, QuantumDatum, make_datum, reduce_mod, sigma,
                     sigma_closed_form)
 from .freeword import FreeElem, left_nested, right_nested, skew_bracket
-from .pbwgen import generator_image, pbw_generators, pbw_intervals, tau_table
+from .pbwgen import generator_image, is_pbw_interval, pbw_generators, tau_table
 from .shuffle import (BraidedTensor, ShuffleElem, braided_coproduct,
                       comonomial_str, eval_free, shuffle_bracket, shuffle_mul,
                       tensor_of, tensor_pair_str)
@@ -352,18 +352,19 @@ def coproduct_formula(datum: QuantumDatum, k: int, m: int,
                    else cact * p_lr / (cexp * qfac))
         else:
             tau = taus[i]
-        gamma = tau * qfac / p_lr
+        unbraided = tau * qfac
+        gamma = unbraided / p_lr
         add_terms(summed, expected.scale(gamma).terms.items())
         terms.append(CoproductTerm(i, tau, datum.multidegree(rword),
                                    f"{sym}[{i + 1},{m}]", f"{sym}[{k},{i}]",
-                                   tau * qfac, gamma))
+                                   unbraided, gamma))
     formula = BraidedTensor._fresh(summed)
     if formula != actual:
         raise NonProportionalProjection(
             f"({k},{m}): the split terms do not sum to the braided coproduct: "
             + _first_diff(formula.terms, actual.terms, tensor_pair_str))
     return CoproductFormula(datum.series, datum.n, k, m, mode, terms, actual,
-                            (k, m) in pbw_intervals(datum))
+                            is_pbw_interval(datum, k, m))
 
 
 def _coproduct_case(datum: QuantumDatum, k: int, m: int,
@@ -390,10 +391,9 @@ def verify_coproducts(datum: QuantumDatum) -> VerificationReport:
     t0 = time.monotonic()
     top = datum.max_letter
     sym = "e" if datum.series == "D" else "v"
-    pbw_set = set(pbw_intervals(datum))
 
     def name(k, m):
-        tag = "" if (k, m) in pbw_set else " (outside PBW set)"
+        tag = "" if is_pbw_interval(datum, k, m) else " (outside PBW set)"
         return f"coproduct {sym}[{k},{m}]{tag}"
 
     cases = [_coproduct_case(datum, k, m, name(k, m))

@@ -480,6 +480,52 @@ def test_packed_guard_matches_tuple_reference(da, db):
             check_product(a / b, want, b, db)
 
 
+# -- every shape of product against the dense reference ---------------------
+
+def sized_dicts(size):
+    """Term dicts of exactly ``size`` terms (2..4 for "N"), some at an edge."""
+    exp = st.integers(-2, 2) | st.sampled_from(EDGE)
+    n = (2, 4) if size == "N" else (size, size)
+    return st.dictionaries(st.tuples(*[exp] * VS4.nvars),
+                           st.integers(-4, 4).filter(bool), min_size=n[0], max_size=n[1])
+
+
+@pytest.mark.parametrize("left,right", [(1, 1), (1, "N"), ("N", 1), ("N", "N"), (0, 1),
+                                        ("N", 0), (0, 0)])
+@given(data=st.data())
+@settings(max_examples=60)
+def test_every_product_shape_matches_dense_reference(left, right, data):
+    # unpack, multiply exponent tuples, repack: 1 x 1, 1 x N, N x 1, N x M
+    # and zero, with monomial operands on both sides of the shift path
+    da, db = data.draw(sized_dicts(left)), data.draw(sized_dicts(right))
+    a, b = LaurentPoly(VS4, da), LaurentPoly(VS4, db)
+    assert check_product(a, da, b, db) == check_product(b, db, a, da)
+    # an int on either side is the constant polynomial
+    c = data.draw(st.integers(-3, 3))
+    dc = {(0,) * VS4.nvars: c} if c else {}
+    assert as_tuples(c * a) == as_tuples(a * c) == ref_mul(dc, da)
+
+
+def test_products_keep_their_errors():
+    other = LaurentPoly.q(VarSet(3))
+    for x, y in ((Q, other), (other, Q), (Q + 1, other), (Q, other + 1),
+                 (Q + T, other - 1)):
+        with pytest.raises(VarSetMismatch):
+            x * y
+    # a monomial at either end of the range, on either side, times one more
+    for top, step in ((LaurentPoly.q(VS, EXP_LIMIT), Q),
+                      (LaurentPoly.q(VS, -EXP_LIMIT) * -3, Q.inverse())):
+        for x, y in ((top, step), (step, top), (top, step * T), (top, step + T),
+                     (step - T, top)):
+            with pytest.raises(ExponentOutOfRange):
+                x * y
+    # ints mix, other numbers are left to their own type
+    assert (Q * 0).is_zero() and (0 * Q).is_zero()
+    assert Q.__mul__(Fraction(1, 2)) is NotImplemented
+    with pytest.raises(TypeError):
+        Q * Fraction(1, 2)
+
+
 # -- the monomial-quotient fast path of div_exact ----------------------------
 
 QUOTIENT_EDGE = (-2 * EXP_LIMIT, -EXP_LIMIT - 1, -EXP_LIMIT, 1 - EXP_LIMIT,

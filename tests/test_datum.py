@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,44 @@ def test_p_words_depends_only_on_multidegrees(name, data):
                      for i in w)
 
     assert d.p_words(edit(u), edit(v)) == d.p_words(tuple(u), tuple(v))
+
+
+KEY_PATH_DATA = {f"{series}{n}-{mode}": make_datum(series, n, mode)
+                 for series, n in (("C", 3), ("D", 4))
+                 for mode in ("multiparameter", "one-parameter")}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_PATH_DATA))
+@given(data=st.data())
+@settings(max_examples=40)
+def test_p_words_key_sum_is_the_product_loop(name, data):
+    d = KEY_PATH_DATA[name]
+    word = st.lists(st.integers(1, d.max_letter), max_size=6).map(tuple)
+    u, v = data.draw(word), data.draw(word)
+    want = d.one()
+    for a in u:
+        for b in v:
+            want = want * d.p_phys(d.physical(a), d.physical(b))
+    # the key path sums packed keys; it multiplies no polynomials
+    with mock.patch.object(LaurentPoly, "__mul__", side_effect=AssertionError):
+        got = d.p_words(u, v)
+    assert got == want
+
+
+def test_p_words_key_path_only_for_monic_monomial_tables():
+    assert all(d._p_keys is not None for d in KEY_PATH_DATA.values())
+    numeric = make_datum("C", 3, "numeric")
+    assert numeric._p_keys is None
+    assert reduce_mod(numeric, 31)._p_keys is None
+
+
+@pytest.mark.parametrize("d", [C3, D4, make_datum("C", 3, "numeric")],
+                         ids=["C3", "D4", "C3-numeric"])
+def test_p_words_refuses_letters_out_of_range(d):
+    for bad in (0, -1, d.max_letter + 1):
+        for u, v in (((bad,), (1,)), ((1,), (bad,)), ((1, bad), ()), ((), (2, bad))):
+            with pytest.raises(IndexOutOfRange):
+                d.p_words(u, v)
 
 
 def test_sigma_examples():

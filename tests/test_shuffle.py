@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qborel.datum import make_datum
+from qborel.datum import make_datum, reduce_mod
 from qborel.freeword import (FreeElem, NonHomogeneousOperand, pbw_bracketing,
                              skew_bracket)
 from qborel.shuffle import (BraidedTensor, ShuffleElem, braided_coproduct,
@@ -223,13 +223,18 @@ def random_free(datum, data, max_len=5, max_terms=8):
 
 
 def random_homogeneous(datum, data, max_len=4):
-    """A sum of rearrangements of one random word, so all share a degree."""
+    """A sum of rearrangements of one random word, so all share a degree,
+    some with a folded twin whose image may cancel the word's."""
     word = data.draw(st.lists(st.integers(1, datum.max_letter), max_size=max_len))
     f = FreeElem.zero()
     for _ in range(data.draw(st.integers(1, 3))):
         c, e = data.draw(st.integers(-3, 3)), data.draw(st.integers(-2, 2))
-        f = f + FreeElem.word(data.draw(st.permutations(word)),
-                              datum.integer(c) * datum.q_power(e))
+        w = tuple(data.draw(st.permutations(word)))
+        f = f + FreeElem.word(w, datum.integer(c) * datum.q_power(e))
+        if datum.series != "A" and data.draw(st.booleans()):
+            twin = tuple(2 * datum.n - i for i in w)
+            f = f + FreeElem.word(twin, datum.integer(c * data.draw(st.sampled_from((-1, 1, 2))))
+                                  * datum.q_power(e))
     return f
 
 
@@ -268,6 +273,48 @@ def test_shuffle_bracket_is_the_image_of_the_bracket(name, data):
     assert shuffle_bracket(datum, eu, ev) == eval_free(datum, skew_bracket(datum, u, v))
     assert shuffle_bracket(datum, eu, ev, datum.q_power(-1)) == \
         eval_free(datum, skew_bracket(datum, u, v, datum.q_power(-1)))
+
+
+# GF(p) data where q = 5 has finite order: 3 mod 31 (5^3 = 125 = 4 * 31 + 1)
+# and 5 mod 11, so 1 - factor q^E vanishes at more energies than E = 0 or 1
+BRACKET_DATA = {**ORACLE_DATA, **{
+    f"{series}{n}-mod{prime}": reduce_mod(make_datum(series, n, "numeric"), prime)
+    for series, n, prime in (("A", 3, 31), ("C", 3, 31), ("D", 3, 31), ("C", 2, 11))}}
+
+
+def two_product_bracket(datum, a, b, factor):
+    """a * b - factor p(a, b) b * a from two full shuffle products."""
+    if not a or not b:
+        return ShuffleElem.zero()
+    p = datum.p_words(next(iter(a.terms)), next(iter(b.terms)))
+    if factor is not None:
+        p = factor * p
+    return shuffle_mul(datum, a, b) - shuffle_mul(datum, b, a).scale(p)
+
+
+@given(st.sampled_from(sorted(BRACKET_DATA)), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_pass_bracket_is_the_two_product_difference(name, double, data):
+    datum = BRACKET_DATA[name]
+    factor = datum.q_power(-1) if double else None
+    a = eval_free(datum, random_homogeneous(datum, data))
+    b = eval_free(datum, random_homogeneous(datum, data))
+    got = shuffle_bracket(datum, a, b, factor)
+    assert got == two_product_bracket(datum, a, b, factor)
+    assert all(got.terms.values())
+
+
+def test_one_pass_bracket_skips_every_vanishing_energy():
+    # [[(x1 x2), (x3)]] over C_3: placing x3 before x2 or before x1 x2 has
+    # energy b(3, 2) = -2, and 1 - q^-1 q^-2 = 1 - q^-3 vanishes mod 31
+    # only, where q has order 3; E = -2 is neither 0 nor 1
+    rational = make_datum("C", 3, "numeric")
+    for datum, words in ((rational, 3), (reduce_mod(rational, 31), 1)):
+        a, b = mono(datum, (1, 2)), mono(datum, (3,))
+        got = shuffle_bracket(datum, a, b, datum.q_power(-1))
+        assert got == two_product_bracket(datum, a, b, datum.q_power(-1))
+        assert len(got.terms) == words and all(got.terms.values())
+    assert got == mono(datum, (1, 2, 3), datum.one() - datum.q_power(-1))
 
 
 def test_shuffle_bracket_needs_homogeneous_operands():
