@@ -108,8 +108,9 @@ class QuantumDatum:
         self._p_inv = tuple(tuple(x ** -1 for x in row) for row in p)
         # p(x, y) p(y, x) = q^{b(x, y)} with b(x, y) = d_x a_xy, symmetric
         self._b = tuple(tuple(di * a for a in row) for di, row in zip(d, cartan))
-        # letter -> 0-based physical index; slot 0 is no letter
-        self._index = (None,) + tuple(self.physical(i) - 1
+        # letter -> 0-based physical index by the fold i -> 2n - i above n;
+        # slot 0 is no letter
+        self._index = (None,) + tuple((i if i <= n else 2 * n - i) - 1
                                       for i in range(1, self.max_letter + 1))
         # the packed keys of p when every entry is a monomial with
         # coefficient 1 (the Laurent tables of make_datum), else None
@@ -160,8 +161,9 @@ class QuantumDatum:
         return 2 * self.n - i
 
     def physical(self, i: int) -> int:
-        self.check_letter(i)
-        return i if i <= self.n else 2 * self.n - i
+        if not 0 < i < len(self._index):
+            self.check_letter(i)
+        return self._index[i] + 1
 
     # -- bicharacter ---------------------------------------------------------
 
@@ -202,9 +204,12 @@ class QuantumDatum:
         return out
 
     def multidegree(self, letters: Sequence[int]) -> tuple:
+        index = self._index
         deg = [0] * self.n
         for i in letters:
-            deg[self.physical(i) - 1] += 1
+            if not 0 < i < len(index):
+                self.check_letter(i)
+            deg[index[i]] += 1
         return tuple(deg)
 
     # -- distinguished words ---------------------------------------------------
@@ -248,7 +253,7 @@ class QuantumDatum:
         return self.series == "D" and k < self.n < m
 
     def _check_interval(self, k: int, m: int) -> None:
-        if not (1 <= k <= m <= self.max_letter):
+        if not 1 <= k <= m < len(self._index):
             raise IndexOutOfRange(
                 f"interval ({k},{m}) outside 1 <= k <= m <= {self.max_letter}"
             )

@@ -22,8 +22,8 @@ zero element.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cmp_to_key
+from typing import NamedTuple
 
 from .datum import QuantumDatum
 from .freeword import bracketed_word, word_greater
@@ -158,8 +158,7 @@ def _shuffle_chain(datum: QuantumDatum, word, right: bool) -> ShuffleElem:
     return out
 
 
-@dataclass(frozen=True)
-class PBWGenerator:
+class PBWGenerator(NamedTuple):
     """One PBW generator: its interval and underlying word."""
 
     k: int

@@ -132,10 +132,15 @@ def _placements(base: tuple, ins: tuple, rows, c):
     y, rest = ins[0], ins[1:]
     row = (None,) + rows[y - 1]
     # s runs down from the end of base, one more letter of base[s:] per step
-    for s, cs in zip(range(len(base), -1, -1),
-                     accumulate(map(row.__getitem__, reversed(base)), mul, initial=c)):
-        for tail, ct in _placements(base[s:], rest, rows, cs):
-            yield base[:s] + (y,) + tail, ct
+    steps = zip(range(len(base), -1, -1),
+                accumulate(map(row.__getitem__, reversed(base)), mul, initial=c))
+    if rest:
+        for s, cs in steps:
+            for tail, ct in _placements(base[s:], rest, rows, cs):
+                yield base[:s] + (y,) + tail, ct
+    else:
+        for s, cs in steps:
+            yield base[:s] + (y,) + base[s:], cs
 
 
 def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import permutations
+from typing import NamedTuple
 
 from .coeffring import NonDivisible, add_terms
 from .datum import (NonUnitModP, QuantumDatum, make_datum, reduce_mod, sigma,
@@ -38,15 +38,13 @@ class NonProportionalProjection(ArithmeticError):
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     name: str
     passed: bool
     witness: str | None = None
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     cases: list
     elapsed: float = 0.0
@@ -247,8 +245,7 @@ def verify_arrangements(datum: QuantumDatum) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # coproduct formulas
 
-@dataclass
-class CoproductTerm:
+class CoproductTerm(NamedTuple):
     i: int
     tau: object
     grouplike: tuple
@@ -258,8 +255,7 @@ class CoproductTerm:
     braided_coefficient: object
 
 
-@dataclass
-class CoproductFormula:
+class CoproductFormula(NamedTuple):
     """The middle part of the coproduct of one bracketed generator.
 
     ``terms`` lists, for each split index i, the tau coefficient, the
@@ -647,8 +643,7 @@ def verify_pbw_independence(datum: QuantumDatum, max_degree: int,
             name, False,
             f"DegenerateEvaluationPoint: product {combo_desc} dependent"))
     # a retry supersedes the attempt before it, which keeps its witness
-    for superseded in attempts[:-1]:
-        superseded.passed = True
+    attempts = [c._replace(passed=True) for c in attempts[:-1]] + attempts[-1:]
     return _timed("pbw-independence", attempts, t0)
 
 

@@ -188,6 +188,27 @@ def test_letters_and_folding():
         make_datum("A", 3).check_letter(4)
 
 
+@pytest.mark.parametrize("series,n", [("A", 3), ("C", 3), ("D", 4)])
+def test_physical_and_multidegree_follow_the_fold(series, n):
+    d = make_datum(series, n)
+    top = n if series == "A" else 2 * n - 1
+    assert d.max_letter == top
+    counts = [0] * n
+    for i in range(1, top + 1):
+        folded = i if i <= n else 2 * n - i
+        assert d.physical(i) == folded
+        assert d.multidegree((i,)) == tuple(int(j == folded) for j in range(1, n + 1))
+        counts[folded - 1] += 1
+    assert d.multidegree(tuple(range(top, 0, -1))) == tuple(counts)
+    assert d.multidegree(()) == (0,) * n
+    for bad in (0, -1, top + 1):
+        message = f"letter x_{bad} outside 1..{top} for {series}_{n}"
+        for probe in (lambda: d.physical(bad), lambda: d.multidegree((1, bad))):
+            with pytest.raises(IndexOutOfRange) as exc:
+                probe()
+            assert str(exc.value) == message
+
+
 def test_p_words_examples():
     assert C2.p_words((), (1, 2)) == C2.one()
     assert C2.p_words((1, 2), (2,)) == t(C2, 1, 2) * q(C2, 2)

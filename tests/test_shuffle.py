@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,44 @@ def test_letter_mul_left():
     got = shuffle_mul(C2, ShuffleElem.letter(C2, 1), mono(C2, (2,)))
     want = mono(C2, (1, 2)) + mono(C2, (2, 1), C2.p_phys(2, 1) ** -1)
     assert got == want
+
+
+def brute_shuffle_mul(datum, a, b):
+    """a * b summed over every choice of the positions of the letters of
+    each comonomial of b, a letter y of b placed before a letter x of the
+    comonomial of a paying p(y, x)^-1."""
+    out = ShuffleElem.zero()
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            size = len(u) + len(v)
+            for spots in combinations(range(size), len(v)):
+                from_u, from_v = iter(u), iter(v)
+                word = tuple(next(from_v) if s in spots else next(from_u)
+                             for s in range(size))
+                c = cu * cv
+                for s, y in zip(spots, v):
+                    for t in range(s + 1, size):
+                        if t not in spots:
+                            c = c * datum.p_phys(y, word[t]) ** -1
+                out = out + mono(datum, word, c)
+    return out
+
+
+@pytest.mark.parametrize("datum", [
+    C3, D4, reduce_mod(make_datum("C", 3, "numeric"), 31),
+    reduce_mod(make_datum("D", 4, "numeric"), 31),
+], ids=["C3", "D4", "C3-mod31", "D4-mod31"])
+def test_shuffle_mul_is_the_sum_over_positions(datum):
+    two = datum.integer(2)
+    short = mono(datum, ()) + mono(datum, (2,), two)
+    mixed = mono(datum, (1, 2, 1)) + mono(datum, (3, 3), datum.q_power(-1))
+    long = mono(datum, (2, 1, 1, 3), two) + mono(datum, (3,))
+    cases = [(short, mixed), (mixed, short), (mixed, mixed), (short, long),
+             (long, mixed), (mono(datum, ()), long), (long, mono(datum, ()))]
+    for a, b in cases:
+        got = shuffle_mul(datum, a, b)
+        assert got == brute_shuffle_mul(datum, a, b)
+        assert all(got.terms.values())
 
 
 def test_letter_mul_empty():
