@@ -9,10 +9,11 @@ elements is
     [u, v] = u v - p(u, v) v u,
 
 where p(u, v) depends only on the multidegrees, and the double bracket
-[[u, v]] scales p(u, v) by q^{-1}.  That formula is stated once, in
-:func:`_bracket`, which also checks homogeneity for both algebras; here it
-is computed from two concatenation products, and :mod:`qborel.shuffle`
-computes its shuffle image in one pass over the interleavings.
+[[u, v]] scales p(u, v) by q^{-1}.  :func:`_bracket` checks homogeneity
+and gives zero for a zero operand in both algebras, and passes two nonzero
+operands to a body that computes the formula: here :func:`_two_products`,
+from two concatenation products, and in :mod:`qborel.shuffle` one pass
+over the interleavings.
 :func:`bracketed_word` states the nesting of the PBW generators once, over
 a bracket and a chain builder.
 """

@@ -5,23 +5,26 @@ an element of the shuffle algebra; it is stored as the tuple of physical
 letter indices, since folded letters denote the same generator.  The
 braided (quantum) shuffle product of Rosso sums over all shuffles of two
 comonomials u and v, and a shuffle pays p(y, x)^{-1} for every letter y of
-v that lands before a letter x of u; with v a single letter this is the
-right letter product (w)(x_i) = sum_{uv=w} p(x_i, v)^{-1} (u x_i v).  A
-bracket a * b - c p(a, b) b * a runs over those shuffles once, weighting
-each by 1 - c q^E for its crossing energy E (:func:`shuffle_bracket`),
-instead of building both products.  The braided coproduct is
-deconcatenation over all split points.  The map x_i -> (x_i) extends to
-the evaluation homomorphism from free-algebra elements, computed by
-grouping words on their last letter so that each letter product acts on
-an already merged sum (``eval_word`` keeps the word-by-word reference).
-Since evaluation is a homomorphism, a bracket tree is evaluated bracket by
-bracket in the shuffle algebra instead.
+v that lands before a letter x of u.  A bracket a * b - c p(a, b) b * a
+runs over the same shuffles, weighting each by 1 - c q^E for its crossing
+energy E (:func:`shuffle_bracket`), so the product and the bracket share
+one walk over the interleavings; the product tracks no energy.
+
+With v a single letter the product is the right letter product (w)(x_i) =
+sum_{uv=w} p(x_i, v)^{-1} (u x_i v), which keeps a loop of its own: the
+map x_i -> (x_i) extends through it to the evaluation homomorphism from
+free-algebra elements, an independent path for the cross-checks.  It is
+computed by grouping words on their last letter so that each letter
+product acts on an already merged sum (``eval_word`` keeps the
+word-by-word reference).  Since evaluation is a homomorphism, a bracket
+tree is evaluated bracket by bracket in the shuffle algebra instead.  The
+braided coproduct is deconcatenation over all split points.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Sequence
 
@@ -104,43 +107,7 @@ def shuffle_mul(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem) -> ShuffleE
     longer one, so a letter operand costs one scalar product per output
     term, as the letter product does.
     """
-    rows = datum._p_inv
-    cols = tuple(zip(*rows))
-    out: dict = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            if len(v) <= len(u):
-                # y of v placed before u[s:] pays p(y, u[s:])^{-1}
-                add_terms(out, _placements(u, v, rows, cu * cv))
-            else:
-                # x of u placed after v[:s] pays p(v[:s], x)^{-1}: the same
-                # rule on the reversed words, with p transposed
-                add_terms(out, ((z[::-1], c) for z, c in
-                                _placements(v[::-1], u[::-1], cols, cu * cv)))
-    return ShuffleElem._fresh(out)
-
-
-def _placements(base: tuple, ins: tuple, rows, c):
-    """(word, c times weight) for each placement of ins, in order, into base.
-
-    A letter y placed before base[s:] weighs rows[y-1][z-1] for each
-    letter z of base[s:].
-    """
-    if not ins:
-        yield base, c
-        return
-    y, rest = ins[0], ins[1:]
-    row = (None,) + rows[y - 1]
-    # s runs down from the end of base, one more letter of base[s:] per step
-    steps = zip(range(len(base), -1, -1),
-                accumulate(map(row.__getitem__, reversed(base)), mul, initial=c))
-    if rest:
-        for s, cs in steps:
-            for tail, ct in _placements(base[s:], rest, rows, cs):
-                yield base[:s] + (y,) + tail, ct
-    else:
-        for s, cs in steps:
-            yield base[:s] + (y,) + base[s:], cs
+    return _interleavings(datum, a, b, None)
 
 
 def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
@@ -169,12 +136,18 @@ def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
     return _bracket(datum, a, b, factor, _one_pass_bracket)
 
 
+def _one_pass_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
+                      factor) -> ShuffleElem:
+    return _interleavings(datum, a, b, _LeafScalars(datum, factor))
+
+
 class _LeafScalars(dict):
-    """1 - factor q^E by energy E, each computed on first use."""
+    """1 - factor q^E by energy E, each computed on first use, and the
+    energy table b(x, y) that E sums."""
 
     def __init__(self, datum: QuantumDatum, factor):
         super().__init__()
-        self.datum, self.factor = datum, factor
+        self.datum, self.factor, self.energy = datum, factor, datum._b
 
     def __missing__(self, e: int):
         qe = self.datum.q_power(e)
@@ -182,53 +155,62 @@ class _LeafScalars(dict):
         return f
 
 
-def _one_pass_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
-                      factor) -> ShuffleElem:
-    """The sum of :func:`shuffle_bracket`, placing the letters of the
-    shorter comonomial of each pair into the longer one as
-    :func:`shuffle_mul` does."""
-    rows, energy = datum._p_inv, datum._b
+def _interleavings(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
+                   scalars) -> ShuffleElem:
+    """The sum over comonomials u of a, v of b and interleavings sigma of
+    c_u c_v w(sigma) sigma, each term times scalars[E(sigma)] unless
+    scalars is None (see :func:`shuffle_bracket`)."""
+    rows = datum._p_inv
     cols = None
-    scalars = _LeafScalars(datum, factor)
     out: dict = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
             if len(v) <= len(u):
-                add_terms(out, _bracket_leaves(u, v, rows, energy, scalars, cu * cv, 0))
+                add_terms(out, _leaves(u, v, rows, scalars, cu * cv, 0))
             else:
-                # the energy table is symmetric, so only p is transposed
+                # x of u placed after v[:s] pays p(v[:s], x)^{-1}: the same
+                # rule on the reversed words with p transposed; the energy
+                # table is symmetric, so only p is transposed
                 cols = cols or tuple(zip(*rows))
                 add_terms(out, ((z[::-1], c) for z, c in
-                                _bracket_leaves(v[::-1], u[::-1], cols, energy,
-                                                scalars, cu * cv, 0)))
+                                _leaves(v[::-1], u[::-1], cols, scalars, cu * cv, 0)))
     return ShuffleElem._fresh(out)
 
 
-def _bracket_leaves(base: tuple, ins: tuple, rows, energy, scalars, c, e):
-    """(word, c times weight times scalars[E]) for each placement of ins,
-    in order, into base whose scalar is nonzero.
+def _leaves(base: tuple, ins: tuple, rows, scalars, c, e):
+    """(word, c times weight) for each placement of ins, in order, into
+    base; with scalars, times scalars[E] and only where that is nonzero.
 
-    As in :func:`_placements`, a letter y placed before base[s:] weighs
-    rows[y-1][z-1] for each letter z of base[s:]; it also adds
-    energy[y-1][z-1] to the energy E, which starts at e.
+    A letter y placed before base[s:] weighs rows[y-1][z-1] for each
+    letter z of base[s:] and adds scalars.energy[y-1][z-1] to the energy
+    E, which starts at e.
     """
     if not ins:
-        f = scalars[e]
-        if f:
-            yield base, c * f
+        if scalars is None:
+            yield base, c
+        else:
+            f = scalars[e]
+            if f:
+                yield base, c * f
         return
     y, rest = ins[0], ins[1:]
     row = (None,) + rows[y - 1]
-    brow = (None,) + energy[y - 1]
     rbase = base[::-1]
+    if scalars is None:
+        energies = repeat(e)
+    else:
+        brow = (None,) + scalars.energy[y - 1]
+        energies = accumulate(map(brow.__getitem__, rbase), initial=e)
     # s runs down from the end of base, one more letter of base[s:] per step
     steps = zip(range(len(base), -1, -1),
-                accumulate(map(row.__getitem__, rbase), mul, initial=c),
-                accumulate(map(brow.__getitem__, rbase), initial=e))
+                accumulate(map(row.__getitem__, rbase), mul, initial=c), energies)
     if rest:
         for s, cs, es in steps:
-            for tail, ct in _bracket_leaves(base[s:], rest, rows, energy, scalars, cs, es):
+            for tail, ct in _leaves(base[s:], rest, rows, scalars, cs, es):
                 yield base[:s] + (y,) + tail, ct
+    elif scalars is None:
+        for s, cs, _ in steps:
+            yield base[:s] + (y,) + base[s:], cs
     else:
         for s, cs, es in steps:
             f = scalars[es]

@@ -343,6 +343,38 @@ def test_one_pass_bracket_is_the_two_product_difference(name, double, data):
     assert all(got.terms.values())
 
 
+@given(st.sampled_from(sorted(BRACKET_DATA)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_bracket_with_factor_zero_is_the_product(name, data):
+    # every leaf scalar is 1 - 0 q^E = 1: the energy-tracking walk against
+    # the product's energy-free one
+    datum = BRACKET_DATA[name]
+    a = eval_free(datum, random_homogeneous(datum, data))
+    b = eval_free(datum, random_homogeneous(datum, data))
+    assert shuffle_bracket(datum, a, b, 0) == shuffle_mul(datum, a, b)
+
+
+@pytest.mark.parametrize("datum", [C3, reduce_mod(make_datum("C", 3, "numeric"), 31)],
+                         ids=["C3", "C3-mod31"])
+@pytest.mark.parametrize("left,right", [
+    ((2,), (1, 2, 3)), ((1, 2, 3), (2,)), ((1, 3), (3, 2)),
+    ((), (1, 2)), ((1, 2), ()), ((), ()),
+], ids=["shorter-left", "longer-left", "equal", "unit-left", "unit-right", "unit-both"])
+def test_bracket_is_the_brute_force_difference(datum, left, right):
+    # an oracle that shares no code with the walker; the skew bracket with
+    # the unit on either side vanishes and must leave no zero term behind
+    two = datum.integer(2)
+    a = mono(datum, left) + mono(datum, left[::-1], two)
+    b = mono(datum, right, datum.q_power(1))
+    for factor in (None, datum.q_power(-1)):
+        p = datum.p_words(left, right)
+        p = p if factor is None else factor * p
+        want = brute_shuffle_mul(datum, a, b) - brute_shuffle_mul(datum, b, a).scale(p)
+        got = shuffle_bracket(datum, a, b, factor)
+        assert got == want
+        assert all(got.terms.values())
+
+
 def test_one_pass_bracket_skips_every_vanishing_energy():
     # [[(x1 x2), (x3)]] over C_3: placing x3 before x2 or before x1 x2 has
     # energy b(3, 2) = -2, and 1 - q^-1 q^-2 = 1 - q^-3 vanishes mod 31
