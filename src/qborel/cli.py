@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pbw", help="PBW independence certificate")
     common(p, with_mode=False)
     p.add_argument("--max-degree", type=int, default=4, dest="max_degree")
-    p.set_defaults(fn=_cmd_pbw)
+    # the certificate runs at a numeric point, so build that one
+    p.set_defaults(fn=_cmd_pbw, mode="numeric")
     return top
 
 

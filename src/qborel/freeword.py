@@ -38,9 +38,9 @@ class FreeElem(LinComb):
     __slots__ = ()
 
     @classmethod
-    def letter(cls, datum: QuantumDatum, i: int, coeff=None) -> "FreeElem":
+    def letter(cls, datum: QuantumDatum, i: int) -> "FreeElem":
         datum.check_letter(i)
-        return cls({(i,): datum.one() if coeff is None else coeff})
+        return cls({(i,): datum.one()})
 
     @classmethod
     def word(cls, w: Sequence[int], coeff) -> "FreeElem":

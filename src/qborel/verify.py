@@ -519,33 +519,17 @@ def verify_identity_suite(datum: QuantumDatum, seed: int = 0,
 _RANK_PRIMES = (2147483647, 2147483629)
 
 
-def _enumerate_exponents(degrees: list, budget: int):
-    """All exponent tuples e with sum e_i * degrees_i <= budget, lex order."""
-    out = []
-
-    def rec(pos, left, prefix):
-        if pos == len(degrees):
-            out.append(tuple(prefix))
-            return
-        for e in range(left // degrees[pos] + 1):
-            prefix.append(e)
-            rec(pos + 1, left - e * degrees[pos], prefix)
-            prefix.pop()
-
-    rec(0, budget, [])
-    return out
-
-
 def _modp_first_dependent(rows: list, p: int):
     """Incremental row reduction mod p; returns (rank, first dependent row).
 
-    Each row is a sparse {column: residue} dict.  Every pivot row is
-    normalized and keyed by its smallest column, so eliminating a row's
-    smallest column creates only larger ones.
+    Each row is a sparse {column: scalar} dict whose scalars are ints or
+    residues mod p, read as ``int(v) % p``.  Every pivot row is normalized
+    and keyed by its smallest column, so eliminating a row's smallest
+    column creates only larger ones.
     """
     pivots: dict = {}  # smallest column -> normalized row
     for idx, row in enumerate(rows):
-        r = {col: v % p for col, v in row.items() if v % p}
+        r = {col: s for col, v in row.items() if (s := int(v) % p)}
         while r:
             col = min(r)
             pivot = pivots.get(col)
@@ -565,33 +549,48 @@ def _modp_first_dependent(rows: list, p: int):
     return len(rows), None
 
 
+def _products(datum: QuantumDatum, gens: list, budget: int):
+    """(exponents, image) of every ordered product of the generators
+    ``gens`` with weighted degree <= ``budget``, in lex order.
+
+    The exponents advance like an odometer: the next product takes one
+    more copy of the last factor that still fits and drops the factors
+    after it, at the cost of one ``shuffle_mul`` of the image so far by
+    that factor.  ``degree[j]`` and ``image[j]`` belong to the product of
+    the factors up to j.  The walk needs no recursion, and no closure,
+    whose reference cycle would keep the images alive after it.
+    """
+    # a generator above the degree bound is never a factor
+    factors = [generator_image(datum, g.k, g.m) if g.degree <= budget else None
+               for g in gens]
+    n = len(gens)
+    combo, degree, image = [0] * n, [0] * n, [ShuffleElem.unit(datum)] * n
+    while True:
+        yield tuple(combo), image[-1]
+        j = n - 1
+        while j >= 0 and degree[j] + gens[j].degree > budget:
+            j -= 1
+        if j < 0:
+            return
+        combo[j:] = [combo[j] + 1] + [0] * (n - j - 1)
+        degree[j:] = [degree[j] + gens[j].degree] * (n - j)
+        image[j:] = [shuffle_mul(datum, image[j], factors[j])] * (n - j)
+
+
 def pbw_product_rows(datum: QuantumDatum, max_degree: int):
     """Shuffle images of all ordered PBW power products of bounded degree.
 
-    Each product's image is its parent's image times the image of one more
-    copy of the last nonzero factor.  Returns (combos, generator labels,
-    rows) where each row maps comonomials to nonzero scalars of the datum:
-    Laurent polynomials, rationals, or residues for a datum from
-    ``reduce_mod``.
+    Returns (combos, generator labels, rows): the exponent tuples in lex
+    order, and for each the map from comonomials to the nonzero scalars of
+    its image, which are Laurent polynomials, rationals, or residues for a
+    datum from ``reduce_mod``.
     """
     gens = pbw_generators(datum)
-    combos = _enumerate_exponents([g.degree for g in gens], max_degree)
-    images = {}
-    rows = []
-    for combo in combos:
-        nonzero = [idx for idx, e in enumerate(combo) if e]
-        if not nonzero:
-            img = ShuffleElem.unit(datum)
-        else:
-            # the parent drops one copy of the last factor; lex order lists it first
-            j = nonzero[-1]
-            parent = combo[:j] + (combo[j] - 1,) + combo[j + 1:]
-            img = shuffle_mul(datum, images[parent],
-                              generator_image(datum, gens[j].k, gens[j].m))
-        images[combo] = img
-        rows.append(img.terms)
-    labels = [g.label for g in gens]
-    return combos, labels, rows
+    combos, rows = [], []
+    for combo, image in _products(datum, gens, max_degree):
+        combos.append(combo)
+        rows.append(image.terms)
+    return combos, [g.label for g in gens], rows
 
 
 def verify_pbw_independence(datum: QuantumDatum, max_degree: int,
@@ -602,14 +601,15 @@ def verify_pbw_independence(datum: QuantumDatum, max_degree: int,
     product's shuffle image over GF(prime), and certifies full row rank of
     the coefficient matrix over the comonomial basis: since reduction mod
     the prime is a ring map on the point, full rank there is a lower bound
-    for the rational rank, so the certificate is exact.  Columns, the
-    comonomials with a nonzero residue, are numbered as they first appear:
-    the rank and the first dependent row do not depend on that order.  A
-    deficient point, or one with q or some p_ij not a unit mod the prime,
-    is retried at a second seed (and a different prime), since deficiency
-    at a point never falsifies generic independence: the superseded
-    attempt keeps its witness but counts as passed, so the last attempt
-    decides the report.
+    for the rational rank, so the certificate is exact.  The rows are
+    eliminated as built, each pivot keyed by its lex-smallest comonomial:
+    every row is homogeneous, so inside a multidegree block that is the
+    length-then-lex order, and the rank and the first dependent row do not
+    depend on the order.  A deficient point, or one with q or some p_ij not
+    a unit mod the prime, is retried at a second seed (and a different
+    prime), since deficiency at a point never falsifies generic
+    independence: the superseded attempt keeps its witness but counts as
+    passed, so the last attempt decides the report.
     """
     t0 = time.monotonic()
     if max_degree < 1:
@@ -628,12 +628,9 @@ def verify_pbw_independence(datum: QuantumDatum, max_degree: int,
                                        False, f"NonUnitModP: {exc}"))
             continue
         combos, labels, rows = pbw_product_rows(point, max_degree)
-        col_index: dict = {}
-        rank, dep = _modp_first_dependent(
-            [{col_index.setdefault(z, len(col_index)): c.value
-              for z, c in row.items()} for row in rows], p)
+        rank, dep = _modp_first_dependent(rows, p)
         name = (f"rank at seed {at_seed}: {rank}/{len(rows)} products, "
-                f"{len(col_index)} comonomials, degree <= {max_degree}")
+                f"{len(set().union(*rows))} comonomials, degree <= {max_degree}")
         if dep is None:
             attempts.append(CaseResult(name, True))
             break

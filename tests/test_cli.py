@@ -190,6 +190,27 @@ def test_pbw_has_no_mode_option(capsys):
     assert "--mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, rank_line", [
+    (["--series", "D", "--rank", "4", "--max-degree", "5"],
+     "rank at seed 0: 321/321 products, 1365 comonomials, degree <= 5"),
+    (["--series", "C", "--rank", "3", "--max-degree", "6"],
+     "rank at seed 0: 263/263 products, 1093 comonomials, degree <= 6"),
+])
+def test_pbw_builds_only_the_point_it_certifies(argv, rank_line, monkeypatch,
+                                                capsys):
+    built = []
+
+    def spy(series, n, mode="multiparameter", **kwargs):
+        built.append(mode)
+        return make_datum(series, n, mode, **kwargs)
+
+    monkeypatch.setattr(qborel.cli, "make_datum", spy)
+    monkeypatch.setattr(qborel.verify, "make_datum", spy)
+    assert run_command(["pbw", *argv, "--seed", "0"]) == 0
+    assert built == ["numeric"]
+    assert capsys.readouterr().out.splitlines()[1] == f"  ok  {rank_line}"
+
+
 def test_usage_errors(capsys):
     assert run_command(["verify", "--series", "E", "--rank", "2",
                         "--suite", "all"]) == 2

@@ -1,12 +1,17 @@
+import gc
 import json
+import sys
+import weakref
 
 import pytest
 
 from fractions import Fraction
+from itertools import product
 
 from qborel import cli, verify
+from qborel.coeffring import add_terms, residue_field
 from qborel.datum import NonUnitModP, make_datum, reduce_mod
-from qborel.pbwgen import tau_table
+from qborel.pbwgen import pbw_generators, tau_table
 from qborel.freeword import skew_bracket
 from qborel.shuffle import BraidedTensor, comonomial_str
 from qborel.verify import (_RANK_PRIMES, NonProportionalProjection,
@@ -256,6 +261,78 @@ def test_modp_first_dependent():
     assert _modp_first_dependent([{0: 1}, {}], p) == (1, 1)
     assert _modp_first_dependent([{1: 14}], p) == (0, 0)
     assert _modp_first_dependent([], p) == (0, None)
+
+
+@pytest.mark.parametrize("series, n, degree", [("C", 2, 6), ("C", 3, 5),
+                                               ("D", 3, 5)])
+def test_pbw_products_walk_in_lex_order(series, n, degree):
+    d = reduce_mod(make_datum(series, n, "numeric"), _RANK_PRIMES[0])
+    degrees = [g.degree for g in pbw_generators(d)]
+    want = [e for e in product(*(range(degree // g + 1) for g in degrees))
+            if sum(x * g for x, g in zip(e, degrees)) <= degree]
+    assert pbw_product_rows(d, degree)[0] == want
+
+
+def test_pbw_products_walk_past_the_recursion_limit():
+    d = make_datum("C", 32, "numeric")
+    assert len(pbw_generators(d)) > sys.getrecursionlimit()
+    report = verify_pbw_independence(d, 2, seed=0)
+    assert report.passed
+    assert report.cases[-1].name == \
+        "rank at seed 0: 592/592 products, 1057 comonomials, degree <= 2"
+
+
+def test_pbw_rows_leave_no_reference_cycle():
+    # a cycle would keep the rows, and the datum with its image memo, alive
+    # until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        d = reduce_mod(make_datum("C", 2, "numeric"), _RANK_PRIMES[0])
+        alive = weakref.ref(d)
+        rows = pbw_product_rows(d, 3)
+        del d, rows
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("series, n, degree", [("D", 4, 5), ("C", 3, 6)])
+def test_modp_elimination_on_comonomial_keys(series, n, degree):
+    p = _RANK_PRIMES[0]
+    rows = pbw_product_rows(reduce_mod(make_datum(series, n, "numeric"), p),
+                            degree)[2]
+    R = residue_field(p)
+    # plant 2 * row 5 - 3 * row 9, with residues above p/2, after row 20
+    planted = {}
+    add_terms(planted, ((z, c * 2) for z, c in rows[5].items()))
+    add_terms(planted, ((z, c * R(p - 3)) for z, c in rows[9].items()))
+    assert any(int(c) < 0 for c in planted.values())
+    for matrix, want in [(rows, (len(rows), None)),
+                         (rows[:21] + [planted] + rows[21:], (21, 21))]:
+        # int rows whose columns are numbered as they first appear
+        col_index = {}
+        numbered = [{col_index.setdefault(z, len(col_index)): c.value
+                     for z, c in row.items()} for row in matrix]
+        assert _modp_first_dependent(numbered, p) == want
+        assert _modp_first_dependent(matrix, p) == want
+
+
+def test_pbw_independence_names_a_planted_dependent_product(monkeypatch):
+    # a second copy of one generator makes its first power dependent
+    def doubled(d, generators=verify.pbw_generators):
+        gens = generators(d)
+        return gens + [gens[1]]
+
+    monkeypatch.setattr(verify, "pbw_generators", doubled)
+    report = verify_pbw_independence(C3, 4, seed=0)
+    assert not report.passed
+    witness = "DegenerateEvaluationPoint: product [2,4]^1 dependent"
+    assert [tuple(c) for c in report.cases] == [
+        ("rank at seed 0: 37/71 products, 121 comonomials, degree <= 4",
+         True, witness),
+        ("rank at seed 1: 37/71 products, 121 comonomials, degree <= 4",
+         False, witness)]
 
 
 def test_pbw_independence_numeric_datum():
