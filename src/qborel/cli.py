@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .coeffring import NonDivisible
 from .datum import IndexOutOfRange, make_datum
@@ -224,7 +225,10 @@ def _cmd_pbw(args) -> int:
     return 0 if report.passed else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, so each ``run_command`` reuses it."""
     top = argparse.ArgumentParser(
         prog="qborel",
         description="PBW generators and coproducts of positive quantum Borel "

@@ -107,7 +107,7 @@ def shuffle_mul(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem) -> ShuffleE
     longer one, so a letter operand costs one scalar product per output
     term, as the letter product does.
     """
-    return _interleavings(datum, a, b, None)
+    return ShuffleElem._fresh(_interleavings(datum._p_inv, a.terms, b.terms, None))
 
 
 def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
@@ -138,7 +138,8 @@ def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
 
 def _one_pass_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
                       factor) -> ShuffleElem:
-    return _interleavings(datum, a, b, _LeafScalars(datum, factor))
+    return ShuffleElem._fresh(_interleavings(datum._p_inv, a.terms, b.terms,
+                                             _LeafScalars(datum, factor)))
 
 
 class _LeafScalars(dict):
@@ -155,16 +156,20 @@ class _LeafScalars(dict):
         return f
 
 
-def _interleavings(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
-                   scalars) -> ShuffleElem:
+def _interleavings(rows, a: dict, b: dict, scalars) -> dict:
     """The sum over comonomials u of a, v of b and interleavings sigma of
     c_u c_v w(sigma) sigma, each term times scalars[E(sigma)] unless
-    scalars is None (see :func:`shuffle_bracket`)."""
-    rows = datum._p_inv
+    scalars is None (see :func:`shuffle_bracket`), as a fresh dict.
+
+    The weights w(sigma) are products of entries of ``rows``, the table
+    p(x, y)^{-1}; only the number protocol is used on them and on the
+    coefficients of the term dicts ``a`` and ``b``, so a table and terms
+    of plain ints give the product over the integers.
+    """
     cols = None
     out: dict = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
+    for u, cu in a.items():
+        for v, cv in b.items():
             if len(v) <= len(u):
                 add_terms(out, _leaves(u, v, rows, scalars, cu * cv, 0))
             else:
@@ -174,7 +179,7 @@ def _interleavings(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
                 cols = cols or tuple(zip(*rows))
                 add_terms(out, ((z[::-1], c) for z, c in
                                 _leaves(v[::-1], u[::-1], cols, scalars, cu * cv, 0)))
-    return ShuffleElem._fresh(out)
+    return out
 
 
 def _leaves(base: tuple, ins: tuple, rows, scalars, c, e):

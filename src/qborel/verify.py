@@ -9,7 +9,9 @@ rationals, and independence is certified through full rank of an exact
 evaluation matrix.  That matrix is built in GF(p) for a large prime p, from
 the rational point reduced mod p: full rank modulo p bounds the rational
 rank from below, so the certificate direction is exact; deficiency at a
-point is never taken as a falsification.
+point is never taken as a falsification.  Its products run on int
+representatives in [0, p), each product reduced mod p once; reduction
+Z -> GF(p) is a ring map, so every entry is the residue it stands for.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .datum import (NonUnitModP, QuantumDatum, make_datum, reduce_mod, sigma,
                     sigma_closed_form)
 from .freeword import FreeElem, left_nested, right_nested, skew_bracket
 from .pbwgen import generator_image, is_pbw_interval, pbw_generators, tau_table
-from .shuffle import (BraidedTensor, ShuffleElem, braided_coproduct,
-                      comonomial_str, eval_free, shuffle_bracket, shuffle_mul,
-                      tensor_of, tensor_pair_str)
+from .shuffle import (BraidedTensor, ShuffleElem, _interleavings,
+                      braided_coproduct, comonomial_str, eval_free,
+                      shuffle_bracket, tensor_of, tensor_pair_str)
 
 
 class NonProportionalProjection(ArithmeticError):
@@ -522,14 +524,14 @@ _RANK_PRIMES = (2147483647, 2147483629)
 def _modp_first_dependent(rows: list, p: int):
     """Incremental row reduction mod p; returns (rank, first dependent row).
 
-    Each row is a sparse {column: scalar} dict whose scalars are ints or
-    residues mod p, read as ``int(v) % p``.  Every pivot row is normalized
-    and keyed by its smallest column, so eliminating a row's smallest
-    column creates only larger ones.
+    Each row is a sparse {column: int} dict, read mod p.  Every pivot row
+    is normalized and keyed by its smallest column, so eliminating a row's
+    smallest column creates only larger ones.  The prime p makes each
+    pivot a unit, inverted by ``pow(x, -1, p)``.
     """
     pivots: dict = {}  # smallest column -> normalized row
     for idx, row in enumerate(rows):
-        r = {col: s for col, v in row.items() if (s := int(v) % p)}
+        r = {col: s for col, v in row.items() if (s := v % p)}
         while r:
             col = min(r)
             pivot = pivots.get(col)
@@ -544,37 +546,57 @@ def _modp_first_dependent(rows: list, p: int):
                     r.pop(c, None)
         if not r:
             return idx, idx
-        inv = pow(r[col], p - 2, p)
+        inv = pow(r[col], -1, p)
         pivots[col] = {c: v * inv % p for c, v in r.items()}
     return len(rows), None
 
 
 def _products(datum: QuantumDatum, gens: list, budget: int):
-    """(exponents, image) of every ordered product of the generators
-    ``gens`` with weighted degree <= ``budget``, in lex order.
+    """(exponents, terms) of every ordered product of the generators
+    ``gens`` with weighted degree <= ``budget``, in lex order; the terms
+    map comonomials to the nonzero scalars of the product's image.
 
     The exponents advance like an odometer: the next product takes one
     more copy of the last factor that still fits and drops the factors
-    after it, at the cost of one ``shuffle_mul`` of the image so far by
+    after it, at the cost of one shuffle product of the image so far by
     that factor.  ``degree[j]`` and ``image[j]`` belong to the product of
     the factors up to j.  The walk needs no recursion, and no closure,
     whose reference cycle would keep the images alive after it.
+
+    Over a datum from ``reduce_mod`` the walk runs on int representatives:
+    the p^-1 table and the generator images are lifted once to their ints
+    in [0, p), each product is taken over the integers and then reduced
+    mod p, dropping its zero entries, before a later product extends it.
+    Reduction Z -> GF(p) is a ring map, so each product is the residue
+    product, at the cost of int arithmetic instead of residue objects.
+    Over other data the products are those of ``shuffle_mul``.
     """
+    sizes = [g.degree for g in gens]
     # a generator above the degree bound is never a factor
-    factors = [generator_image(datum, g.k, g.m) if g.degree <= budget else None
-               for g in gens]
+    factors = [generator_image(datum, g.k, g.m).terms if size <= budget
+               else None for g, size in zip(gens, sizes)]
+    table, unit = datum._p_inv, ShuffleElem.unit(datum).terms
+    p = getattr(datum.q, "modulus", None)  # residue scalars know their prime
+    if p is not None:
+        table = tuple(tuple(x.value for x in row) for row in table)
+        factors = [None if f is None else {z: c.value for z, c in f.items()}
+                   for f in factors]
+        unit = {(): 1}
     n = len(gens)
-    combo, degree, image = [0] * n, [0] * n, [ShuffleElem.unit(datum)] * n
+    combo, degree, image = [0] * n, [0] * n, [unit] * n
     while True:
         yield tuple(combo), image[-1]
         j = n - 1
-        while j >= 0 and degree[j] + gens[j].degree > budget:
+        while j >= 0 and degree[j] + sizes[j] > budget:
             j -= 1
         if j < 0:
             return
+        prod = _interleavings(table, image[j], factors[j], None)
+        if p is not None:
+            prod = {z: s for z, c in prod.items() if (s := c % p)}
         combo[j:] = [combo[j] + 1] + [0] * (n - j - 1)
-        degree[j:] = [degree[j] + gens[j].degree] * (n - j)
-        image[j:] = [shuffle_mul(datum, image[j], factors[j])] * (n - j)
+        degree[j:] = [degree[j] + sizes[j]] * (n - j)
+        image[j:] = [prod] * (n - j)
 
 
 def pbw_product_rows(datum: QuantumDatum, max_degree: int):
@@ -582,14 +604,16 @@ def pbw_product_rows(datum: QuantumDatum, max_degree: int):
 
     Returns (combos, generator labels, rows): the exponent tuples in lex
     order, and for each the map from comonomials to the nonzero scalars of
-    its image, which are Laurent polynomials, rationals, or residues for a
-    datum from ``reduce_mod``.
+    its image.  The scalars are Laurent polynomials or rationals, as the
+    datum's are; for a datum from ``reduce_mod`` they are the ints in
+    [0, p) that represent its residues, since the products run on int
+    representatives, each reduced mod p (see :func:`_products`).
     """
     gens = pbw_generators(datum)
     combos, rows = [], []
-    for combo, image in _products(datum, gens, max_degree):
+    for combo, terms in _products(datum, gens, max_degree):
         combos.append(combo)
-        rows.append(image.terms)
+        rows.append(terms)
     return combos, [g.label for g in gens], rows
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 import qborel
 from qborel.cli import (MAX_EXPR_DEPTH, BracketSyntaxError, bind_expr,
-                        parse_expr, run_command)
+                        build_parser, parse_expr, run_command)
 from qborel.datum import IndexOutOfRange, make_datum
 from qborel.freeword import FreeElem, skew_bracket
 from qborel.pbwgen import tau_table
@@ -224,6 +225,27 @@ def test_usage_errors(capsys):
     assert run_command(["verify", "--series", "A", "--rank", "3",
                         "--suite", "arrangements"]) == 2
     assert "series C or D" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_reused_without_state(capsys):
+    assert build_parser() is build_parser()
+    good = ["pbw", "--series", "C", "--rank", "2", "--max-degree", "3"]
+    bad = ["pbw", "--series", "C", "--rank", "2", "--max-degree", "x"]
+
+    def run(argv, fresh):
+        if fresh:
+            build_parser.cache_clear()
+        code = run_command(argv)
+        out, err = capsys.readouterr()
+        return code, re.sub(r"\d+\.\d+s\)", "s)", out), err
+
+    want = {"good": run(good, True), "bad": run(bad, True)}
+    assert want["good"][0] == 0 and "14/14 products" in want["good"][1]
+    assert want["bad"][0] == 2 and "--max-degree" in want["bad"][2]
+    # a bad argv after a good call, and a good call after a bad one, on
+    # the same parser
+    for name in ("good", "bad", "good", "bad"):
+        assert run(good if name == "good" else bad, False) == want[name]
 
 
 @pytest.mark.parametrize("count", ["0", "-4"])

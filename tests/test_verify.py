@@ -11,9 +11,9 @@ from itertools import product
 from qborel import cli, verify
 from qborel.coeffring import add_terms, residue_field
 from qborel.datum import NonUnitModP, make_datum, reduce_mod
-from qborel.pbwgen import pbw_generators, tau_table
+from qborel.pbwgen import generator_image, pbw_generators, tau_table
 from qborel.freeword import skew_bracket
-from qborel.shuffle import BraidedTensor, comonomial_str
+from qborel.shuffle import BraidedTensor, ShuffleElem, comonomial_str, shuffle_mul
 from qborel.verify import (_RANK_PRIMES, NonProportionalProjection,
                            _modp_first_dependent, coproduct_formula,
                            pbw_product_rows,
@@ -282,6 +282,27 @@ def test_pbw_products_walk_past_the_recursion_limit():
         "rank at seed 0: 592/592 products, 1057 comonomials, degree <= 2"
 
 
+@pytest.mark.parametrize("series, n", [("C", 2), ("C", 3), ("C", 4),
+                                       ("D", 3), ("D", 4)])
+def test_pbw_int_rows_are_the_residue_rows_of_shuffle_mul(series, n):
+    p = _RANK_PRIMES[0]
+    d = reduce_mod(make_datum(series, n, "numeric"), p)
+    images = [generator_image(d, g.k, g.m) for g in pbw_generators(d)]
+    combos, _, rows = pbw_product_rows(d, 6)
+    # the reference multiplies residues: each product is its parent, the
+    # combo less one copy of its last factor, times that factor
+    reference = {(0,) * len(images): ShuffleElem.unit(d)}
+    for combo, row in zip(combos, rows):
+        if any(combo):
+            last = max(j for j, e in enumerate(combo) if e)
+            parent = combo[:last] + (combo[last] - 1,) + combo[last + 1:]
+            reference[combo] = shuffle_mul(d, reference[parent], images[last])
+        # the same keys in the same order, each with its residue's int
+        assert list(row.items()) == [(z, c.value)
+                                     for z, c in reference[combo].terms.items()]
+        assert all(type(c) is int and 0 < c < p for c in row.values())
+
+
 def test_pbw_rows_leave_no_reference_cycle():
     # a cycle would keep the rows, and the datum with its image memo, alive
     # until the cyclic collector runs
@@ -303,16 +324,18 @@ def test_modp_elimination_on_comonomial_keys(series, n, degree):
     rows = pbw_product_rows(reduce_mod(make_datum(series, n, "numeric"), p),
                             degree)[2]
     R = residue_field(p)
-    # plant 2 * row 5 - 3 * row 9, with residues above p/2, after row 20
+    # plant 2 * row 5 - 3 * row 9, with residues above p/2, after row 20,
+    # as the balanced ints of its residues
     planted = {}
-    add_terms(planted, ((z, c * 2) for z, c in rows[5].items()))
-    add_terms(planted, ((z, c * R(p - 3)) for z, c in rows[9].items()))
+    add_terms(planted, ((z, R(c) * 2) for z, c in rows[5].items()))
+    add_terms(planted, ((z, R(c) * R(p - 3)) for z, c in rows[9].items()))
     assert any(int(c) < 0 for c in planted.values())
+    planted = {z: int(c) for z, c in planted.items()}
     for matrix, want in [(rows, (len(rows), None)),
                          (rows[:21] + [planted] + rows[21:], (21, 21))]:
         # int rows whose columns are numbered as they first appear
         col_index = {}
-        numbered = [{col_index.setdefault(z, len(col_index)): c.value
+        numbered = [{col_index.setdefault(z, len(col_index)): c
                      for z, c in row.items()} for row in matrix]
         assert _modp_first_dependent(numbered, p) == want
         assert _modp_first_dependent(matrix, p) == want
@@ -352,8 +375,7 @@ def test_pbw_rows_mod_p_are_residues_of_rational_rows(series, n, degree):
     for got, want in zip(residues[2], rational[2]):
         want = {z: c.numerator * pow(c.denominator, -1, prime) % prime
                 for z, c in want.items()}
-        assert {z: c.value for z, c in got.items()} == {
-            z: c for z, c in want.items() if c}
+        assert got == {z: c for z, c in want.items() if c}
     # a point whose rows have no residues is refused, not reduced
     bad = dict(point.assignment, t_1_2=Fraction(1, prime))
     with pytest.raises(NonUnitModP):
