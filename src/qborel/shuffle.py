@@ -19,12 +19,27 @@ product acts on an already merged sum (``eval_word`` keeps the
 word-by-word reference).  Since evaluation is a homomorphism, a bracket
 tree is evaluated bracket by bracket in the shuffle algebra instead.  The
 braided coproduct is deconcatenation over all split points.
+
+Over rational data the evaluation runs on cleared int tables.  Write
+p(x, y)^{-1} = a_xy / b_xy in lowest terms and set C_xy = b_xy b_yx
+(symmetric) and A_xy = a_xy b_yx, so A_xy / C_xy = p(x, y)^{-1}.  The input
+is multiplied by L, the lcm of its coefficient denominators, and placing x
+before z[s:] pays prod_{y in z[:s]} C_xy prod_{y in z[s:]} A_xy: the true
+weight times prod_{y in z} C_xy.  By induction the int image at a
+comonomial z is L K(z) times the rational one, with K(z) the product of
+C over the letter pairs of z, which depends only on the letters of z.
+Every partial sum at z carries the same positive factor, so terms cancel
+at the same steps, and one Fraction(c, L K(z)) per output term gives the
+same values, keys and dict order as the letter products over Fractions.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
+from fractions import Fraction
 from itertools import accumulate, repeat
+from math import lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -91,13 +106,22 @@ def comonomial_degree(z: tuple, n: int) -> tuple:
 def shuffle_letter_mul(datum: QuantumDatum, w: ShuffleElem, i: int) -> ShuffleElem:
     """The right letter product (w)(x_i), per the split rule."""
     phys = datum.physical(i)
+    return ShuffleElem._fresh(_letter_terms(w.terms, phys, (None,) + datum._p_inv[phys - 1]))
+
+
+def _letter_terms(terms: dict, x: int, tail, head=None) -> dict:
+    """The terms of (w)(x) for w with the given terms: z[:s] x z[s:] pays
+    tail[y] for each letter y of z[s:] and, with ``head``, head[y] for each
+    letter y of z[:s].  The letter product takes tail = p(x, -)^{-1}."""
     out: dict = {}
-    # (u x_i v) pays p(x_i, v)^{-1}: one more letter of v per split leftwards
-    inv = (None,) + datum._p_inv[phys - 1]
-    for z, c in w.terms.items():
-        add_terms(out, zip((z[:s] + (phys,) + z[s:] for s in range(len(z), -1, -1)),
-                           accumulate(map(inv.__getitem__, reversed(z)), mul, initial=c)))
-    return ShuffleElem._fresh(out)
+    for z, c in terms.items():
+        # s runs down from the end of z, one more letter of z[s:] per step
+        ws = accumulate(map(tail.__getitem__, reversed(z)), mul, initial=c)
+        if head is not None:
+            heads = list(accumulate(map(head.__getitem__, z), mul, initial=1))
+            ws = map(mul, ws, reversed(heads))
+        add_terms(out, zip((z[:s] + (x,) + z[s:] for s in range(len(z), -1, -1)), ws))
+    return out
 
 
 def shuffle_mul(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem) -> ShuffleElem:
@@ -239,11 +263,28 @@ def eval_free(datum: QuantumDatum, f: FreeElem) -> ShuffleElem:
     contributes c.  The prefixes sharing a (physical) last letter are
     merged into one canonical sum before the letter product, so terms
     cancel early instead of after every word is shuffled out on its own.
+    Over rational data the walk runs on the cleared int tables of the
+    module docstring, and each output term is divided by L K(z) once.
     """
-    return _eval_terms(datum, f.terms)
+    if not isinstance(datum.q, Fraction):
+        return ShuffleElem._fresh(_eval_terms(datum, f.terms, None))
+    tables = _cleared_tables(datum)
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    ints = _eval_terms(datum, {w: c.numerator * (scale // c.denominator)
+                               for w, c in f.terms.items()}, tables)
+    cross, dens, out = tables[0], {}, {}
+    for z, c in ints.items():
+        key = tuple(sorted(z))  # K(z) depends only on the letters of z
+        d = dens.get(key)
+        if d is None:
+            d = dens[key] = scale * prod(cross[y][x] for j, x in enumerate(z) for y in z[:j])
+        out[z] = Fraction(c, d)
+    return ShuffleElem._fresh(out)
 
 
-def _eval_terms(datum: QuantumDatum, terms: dict) -> ShuffleElem:
+def _eval_terms(datum: QuantumDatum, terms: dict, tables) -> dict:
+    """The terms of the image of the sum with the given terms, through the
+    letter products, or over ints on the cleared ``tables`` if given."""
     out = {(): terms[()]} if () in terms else {}
     groups: dict = {}
     for w, c in terms.items():
@@ -251,9 +292,32 @@ def _eval_terms(datum: QuantumDatum, terms: dict) -> ShuffleElem:
             add_terms(groups.setdefault(datum.physical(w[-1]), {}), ((w[:-1], c),))
     for x, prefixes in groups.items():
         if prefixes:
-            img = shuffle_letter_mul(datum, _eval_terms(datum, prefixes), x)
-            add_terms(out, img.terms.items())
-    return ShuffleElem._fresh(out)
+            img = _eval_terms(datum, prefixes, tables)
+            if tables is None:
+                img = shuffle_letter_mul(datum, ShuffleElem._fresh(img), x).terms
+            else:
+                cross, tails = tables
+                img = _letter_terms(img, x, tails[x], cross[x])
+            add_terms(out, img.items())
+    return out
+
+
+_cleared: "weakref.WeakKeyDictionary[QuantumDatum, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _cleared_tables(datum: QuantumDatum) -> tuple:
+    """(C, A) of a rational datum, indexed by physical letters: with
+    p(x, y)^{-1} = a_xy / b_xy in lowest terms, C_xy = b_xy b_yx and
+    A_xy = a_xy b_yx.  Built once per datum."""
+    tables = _cleared.get(datum)
+    if tables is None:
+        inv = datum._p_inv
+        cross, tails = [None], [None]
+        for row, col in zip(inv, zip(*inv)):
+            cross.append((None,) + tuple(a.denominator * b.denominator for a, b in zip(row, col)))
+            tails.append((None,) + tuple(a.numerator * b.denominator for a, b in zip(row, col)))
+        tables = _cleared[datum] = (tuple(cross), tuple(tails))
+    return tables
 
 
 class BraidedTensor(LinComb):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qborel import shuffle
 from qborel.datum import make_datum, reduce_mod
 from qborel.freeword import (FreeElem, NonHomogeneousOperand, pbw_bracketing,
                              skew_bracket)
@@ -283,6 +284,49 @@ def test_eval_free_matches_word_by_word(name, data):
     datum = ORACLE_DATA[name]
     f = random_free(datum, data)
     assert eval_free(datum, f) == eval_by_words(datum, f)
+
+
+# rational data, whose images run on cleared int tables; the last one has
+# a non-integer q and t_ij, so the tables clear numerators and denominators
+RATIONAL_DATA = {
+    **{f"{series}{n}": make_datum(series, n, "numeric")
+       for series, n in (("C", 3), ("D", 4), ("A", 3))},
+    "C3-q3/2": make_datum("C", 3, "numeric", assignment={
+        "q": Fraction(3, 2), "t_1_2": Fraction(5, 7), "t_1_3": Fraction(-2, 9),
+        "t_2_3": Fraction(11, 4)}),
+}
+
+
+@given(st.sampled_from(sorted(RATIONAL_DATA)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rational_eval_free_is_the_fraction_walk(name, data):
+    # sums that mix multidegrees, with folded twins, rational coefficients
+    # and at times the empty word: the values are those of the word-by-word
+    # reference, and the terms come in the order of the letter products
+    # over Fractions
+    datum = RATIONAL_DATA[name]
+    f = random_free(datum, data).scale(Fraction(1, data.draw(st.integers(1, 6))))
+    if data.draw(st.booleans()):
+        f = f + FreeElem.word((), Fraction(-2, 3))
+    got = eval_free(datum, f)
+    assert got == eval_by_words(datum, f)
+    assert list(got.terms.items()) == list(shuffle._eval_terms(datum, f.terms, None).items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_only_rational_data_build_the_cleared_tables(monkeypatch):
+    built = []
+    real = shuffle._cleared_tables
+    monkeypatch.setattr(shuffle, "_cleared_tables",
+                        lambda datum: built.append(datum) or real(datum))
+    numeric = make_datum("C", 3, "numeric")
+    f = skew_bracket(C3, FreeElem.letter(C3, 1), FreeElem.letter(C3, 2))
+    for datum in (C3, make_datum("C", 3, "one-parameter"), reduce_mod(numeric, 31)):
+        g = FreeElem({w: datum.integer(2) for w in f.terms})
+        assert eval_free(datum, g) == eval_by_words(datum, g)
+    assert built == []
+    eval_free(numeric, FreeElem.letter(numeric, 1))
+    assert built == [numeric]
 
 
 @given(st.sampled_from(sorted(ORACLE_DATA)), st.data())

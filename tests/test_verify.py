@@ -437,6 +437,11 @@ def test_first_diff_names_the_first_key_in_natural_order():
         == "at (x3 x9): 1 != (absent)"
 
 
+def _bracket_with_factor_q(datum, u, v, factor=None):
+    """A broken skew bracket: every plain p(u, v) is scaled by q."""
+    return skew_bracket(datum, u, v, datum.q_power(1) if factor is None else factor)
+
+
 # Witnesses of a skew bracket that scales every plain p(u, v) by q, at
 # seed 5; the free draws are pinned, so their order must not move.
 _BROKEN_BRACKET_WITNESSES = {
@@ -463,16 +468,40 @@ _BROKEN_BRACKET_WITNESSES = {
         "instance 0: u=<FreeElem (-3)*x6*x2> v=<FreeElem (-1)*x6> "
         "w=<FreeElem (1)*x5>",
     ],
+    # the same draws at the numeric point q = 5, whose images run on cleared
+    # int tables
+    "C3-numeric": [
+        "instance 0: u=<FreeElem (-3)*x3*x3*x5> v=<FreeElem (-2/5)*x1> "
+        "w=<FreeElem (-15)*x2*x4 + (5)*x4*x2>",
+        "instance 0: u=<FreeElem (-1/5)*x4> v=<FreeElem (-10)*x2*x1>",
+        "instance 0: guard [u,w] does not vanish",
+        "instance 0: guard [u,v] does not vanish",
+        "instance 0: u=<FreeElem (-1/5)*x1*x3 + (-1)*x3*x1> v=<FreeElem "
+        "(2/5)*x3*x5> w=<FreeElem (-3)*x1*x3>",
+        "instance 0: u=<FreeElem (-1/5)*x2*x1> v=<FreeElem (1/5)*x1*x4 + "
+        "(2)*x4*x1> w=<FreeElem (-2/5)*x5>",
+    ],
+    "D4-numeric": [
+        "instance 0: u=<FreeElem (15)*x3*x6*x3> v=<FreeElem (-10)*x1*x7*x4 + "
+        "(-1)*x7*x4*x1> w=<FreeElem (2/5)*x4>",
+        "instance 0: u=<FreeElem (-2)*x2*x1*x6 + (-3/5)*x6*x2*x1> v=<FreeElem "
+        "(-2/5)*x5*x4*x2>",
+        "instance 0: guard [u,w] does not vanish",
+        "instance 0: guard [u,v] does not vanish",
+        "instance 0: u=<FreeElem (-3)*x3> v=<FreeElem (2/5)*x7*x5> "
+        "w=<FreeElem (-3)*x1*x3>",
+        "instance 0: u=<FreeElem (-3)*x6*x2> v=<FreeElem (-1)*x6> w=<FreeElem "
+        "(1)*x5>",
+    ],
 }
 
 
-@pytest.mark.parametrize("d", [C3, D4], ids=lambda d: f"{d.series}{d.n}")
+@pytest.mark.parametrize("d", [C3, D4, make_datum("C", 3, "numeric"),
+                               make_datum("D", 4, "numeric")],
+                         ids=lambda d: f"{d.series}{d.n}" + (
+                             "-numeric" if d.mode == "numeric" else ""))
 def test_identity_suite_witnesses_a_broken_bracket(monkeypatch, d):
-    def broken(datum, u, v, factor=None):
-        return skew_bracket(datum, u, v,
-                            datum.q_power(1) if factor is None else factor)
-
-    monkeypatch.setattr(verify, "skew_bracket", broken)
+    monkeypatch.setattr(verify, "skew_bracket", _bracket_with_factor_q)
     report = verify_identity_suite(d, seed=5, count=20)
     assert [c.name for c in report.cases] == [
         f"{name} x20" for name in ("jacobi", "antisymmetry",
@@ -480,4 +509,60 @@ def test_identity_suite_witnesses_a_broken_bracket(monkeypatch, d):
                                    "ad-left", "ad-right")]
     assert not any(c.passed for c in report.cases)
     assert [c.witness for c in report.cases] == \
-        _BROKEN_BRACKET_WITNESSES[f"{d.series}{d.n}"]
+        _BROKEN_BRACKET_WITNESSES[f"{d.series}{d.n}" + (
+            "-numeric" if d.mode == "numeric" else "")]
+
+
+# Witnesses at seed 5 when every p(u, v) the identities read is doubled:
+# the guards still vanish, so conditional swap fails in the shuffle image
+# and names the first comonomial where its two sides differ
+_BROKEN_P_WITNESSES = {
+    "C3": [
+        "instance 0: u=<FreeElem (-3)*x3*x3*x5> v=<FreeElem (-2/5)*x1> "
+        "w=<FreeElem (-15)*x2*x4 + (5)*x4*x2>",
+        "instance 0: u=<FreeElem (-1/5)*x4> v=<FreeElem (-10)*x2*x1>",
+        None,
+        "instance 0: u=<FreeElem (-3/5)*x1> v=<FreeElem (-3)*x3> w=<FreeElem "
+        "(-10)*x4>: at (x2 x1 x3): -12096/325 != -21168/325",
+        "instance 0: u=<FreeElem (1)*x4> v=<FreeElem (-13/5)*x5*x1> "
+        "w=<FreeElem (-15)*x3*x4>",
+        "instance 0: u=<FreeElem (4)*x1*x5> v=<FreeElem (5)*x2*x4> "
+        "w=<FreeElem (-52/5)*x4*x2>",
+    ],
+    "D4": [
+        "instance 0: u=<FreeElem (15)*x3*x6*x3> v=<FreeElem (-10)*x1*x7*x4 + "
+        "(-1)*x7*x4*x1> w=<FreeElem (2/5)*x4>",
+        "instance 0: u=<FreeElem (-2)*x2*x1*x6 + (-3/5)*x6*x2*x1> v=<FreeElem "
+        "(-2/5)*x5*x4*x2>",
+        None,
+        "instance 1: u=<FreeElem (1)*x2> v=<FreeElem (1/35)*x1*x2 + "
+        "(-1)*x2*x1> w=<FreeElem (-2/5)*x5*x1*x5>: at (x1 x1 x2 x2 x3 x3): "
+        "(absent) != -41472/2063359375",
+        "instance 0: u=<FreeElem (1)*x1*x3> v=<FreeElem (2)*x6> w=<FreeElem "
+        "(2)*x5>",
+        "instance 0: u=<FreeElem (10)*x3> v=<FreeElem (-1/5)*x5*x3> "
+        "w=<FreeElem (5)*x5>",
+    ],
+}
+
+
+@pytest.mark.parametrize("series,n", [("C", 3), ("D", 4)], ids=["C3", "D4"])
+def test_identity_suite_witnesses_a_broken_p_on_numeric_data(monkeypatch, series, n):
+    real = verify._p_of
+    monkeypatch.setattr(verify, "_p_of", lambda datum, u, v: 2 * real(datum, u, v))
+    report = verify_identity_suite(make_datum(series, n, "numeric"), seed=5, count=20)
+    assert [c.witness for c in report.cases] == _BROKEN_P_WITNESSES[f"{series}{n}"]
+
+
+def test_serre_suite_witnesses_planted_images_on_numeric_data(monkeypatch):
+    monkeypatch.setattr(verify, "skew_bracket", _bracket_with_factor_q)
+    report = verify_serre(make_datum("C", 2, "numeric"))
+    assert [(c.name, c.witness) for c in report.cases] == [
+        ("[[x1,x2],x2]", "image -672 * (x2 x1 x2) + -122304 * (x2 x2 x1)"),
+        ("[x2,[x2,x1]]",
+         "image -2496/30625 * (x1 x2 x2) + -96/175 * (x2 x1 x2)"),
+        ("[[[x2,x1],x1],x1]",
+         "image -71424/5359375 * (x1 x1 x1 x2) + -2304/30625 * (x1 x1 x2 x1)"),
+        ("[x1,[x1,[x1,x2]]]",
+         "image -112896 * (x1 x2 x1 x1) + -24498432 * (x2 x1 x1 x1)"),
+    ]
