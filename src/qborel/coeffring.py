@@ -6,10 +6,9 @@ quantization parameter and the ``t_ij`` (one for each pair 1 <= i < j <= n)
 are the free multiparameters of the bicharacter table.  Coefficients are
 arbitrary-precision integers; rationals appear only when a datum is
 specialized at a rational point, and then the scalars are ``Fraction``s.
-A rational point reduced modulo a prime has residues (``residue_field``)
-as scalars.  All kinds share Python's number protocol (``+ - * / **``,
-``not c``, ``str(c)``), with exact division, so the algebra layers never
-ask which kind they hold.  All values are immutable after construction and
+Both kinds share Python's number protocol (``+ - * / **``, ``not c``,
+``str(c)``), with exact division, so the algebra layers never ask which
+kind they hold.  All values are immutable after construction and
 all operations are pure, so they can be shared freely.
 """
 
@@ -17,8 +16,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from functools import cache
-from operator import add, index, sub
+from operator import add, sub
 from typing import Mapping
 
 EXP_LIMIT = 2 ** 30 - 1  # largest |exponent|; a sum of two still fits a 32-bit slot
@@ -506,129 +504,6 @@ def _laurent(vs: VarSet, terms: dict, bound: int) -> LaurentPoly:
     return p
 
 
-# -- residues modulo a prime -------------------------------------------------
-
-@cache
-def residue_field(p: int) -> type:
-    """The class of residues modulo the prime ``p``, one class per modulus.
-
-    ``R = residue_field(p)``; ``R(n)`` is the residue of the int ``n``.
-    The slot ``value`` holds the representative in [0, p).  A residue mixes
-    with ints as a ``Fraction`` does, and it equals, hashes and prints as
-    its balanced representative in (-p/2, p/2], so ``R(p - 1) == -1``.
-    Residues modulo different primes are different classes and never
-    compare equal; arithmetic between them raises ``TypeError``.  Dividing
-    by a non-unit, or raising one to a negative power, raises
-    ``ZeroDivisionError``.  Primality is not checked: for a composite
-    modulus every operation is still exact in Z/p.
-    """
-    p = index(p)
-    if p < 2:
-        raise ValueError(f"modulus must be at least 2, got {p}")
-    half = p // 2
-    new = object.__new__
-
-    def make(v: int) -> "Residue":
-        r = new(Residue)
-        r.value = v
-        return r
-
-    def coerce(other):
-        if other.__class__ is Residue:
-            return other
-        if isinstance(other, int):
-            return make(other % p)
-        return NotImplemented
-
-    class Residue:
-        __slots__ = ("value",)
-        modulus = p
-
-        def __init__(self, n: int):
-            self.value = index(n) % p
-
-        # + and * skip the coerce call on residues: they are the hot path
-        # of shuffle products and sparse sums
-        def __add__(self, other):
-            if other.__class__ is not Residue:
-                other = coerce(other)
-                if other is NotImplemented:
-                    return NotImplemented
-            return make((self.value + other.value) % p)
-
-        __radd__ = __add__
-
-        def __sub__(self, other):
-            other = coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-            return make((self.value - other.value) % p)
-
-        def __rsub__(self, other):
-            other = coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-            return other - self
-
-        def __mul__(self, other):
-            if other.__class__ is not Residue:
-                other = coerce(other)
-                if other is NotImplemented:
-                    return NotImplemented
-            return make(self.value * other.value % p)
-
-        __rmul__ = __mul__
-
-        def __truediv__(self, other):
-            other = coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-            return self * other ** -1
-
-        def __rtruediv__(self, other):
-            other = coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-            return other * self ** -1
-
-        def __pow__(self, exp):
-            if not isinstance(exp, int):
-                return NotImplemented
-            try:
-                return make(pow(self.value, exp, p))
-            except ValueError:  # a negative power of a non-unit
-                raise ZeroDivisionError(f"{self} is not invertible mod {p}") from None
-
-        def __neg__(self):
-            return make(-self.value % p)
-
-        def __bool__(self) -> bool:
-            return self.value != 0
-
-        def __int__(self) -> int:
-            """The balanced representative, in (-p/2, p/2]."""
-            return self.value - p if self.value > half else self.value
-
-        def __eq__(self, other) -> bool:
-            if other.__class__ is Residue:
-                return self.value == other.value
-            if isinstance(other, int):
-                return int(self) == other
-            return NotImplemented
-
-        def __hash__(self) -> int:
-            # equal to the int int(self), so it must hash like it
-            return hash(int(self))
-
-        def __str__(self) -> str:
-            return str(int(self))
-
-        def __repr__(self) -> str:
-            return f"residue_field({p})({int(self)})"
-
-    return Residue
-
-
 # -- sparse linear combinations ---------------------------------------------
 
 def add_terms(out: dict, pairs) -> dict:
@@ -654,8 +529,8 @@ def add_terms(out: dict, pairs) -> dict:
 class LinComb:
     """Canonical sparse sum: basis key -> nonzero scalar.
 
-    The scalars are those of one datum, ``LaurentPoly``, ``Fraction`` or a
-    ``residue_field`` class; only the number protocol is used on them.  Free-algebra elements,
+    The scalars are those of one datum, ``LaurentPoly`` or ``Fraction``;
+    only the number protocol is used on them.  Free-algebra elements,
     shuffle elements and braided tensors are subclasses, and elements of
     different subclasses never compare equal.
     """

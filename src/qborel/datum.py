@@ -8,7 +8,7 @@ bicharacter table p_ij subject to
 In the multiparameter realization the entries above the diagonal are free
 variables t_ij and the entries below are forced; the one-parameter mode
 sets t_ij = q^{d_i a_ij}, and the numeric mode takes q and the t_ij at a
-fixed rational point, which ``reduce_mod`` maps further into GF(p).
+fixed rational point.
 The datum also owns the folded letter alphabet x_1, ..., x_{2n-1} with
 x_i = x_{2n-i} and the distinguished ascending words v(k,m) (series A, C)
 and e(k,m), e'(k,m) (series D).
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeffring import (EXP_LIMIT, LaurentPoly, MissingAssignment, VarSet,
-                        ZeroAssignment, _laurent, residue_field)
+                        ZeroAssignment, _laurent)
 
 SERIES = ("A", "C", "D")
 MODES = ("multiparameter", "one-parameter", "numeric")
@@ -32,11 +32,6 @@ class InvalidRank(ValueError):
 
 class NumericAssignmentHitsExcludedRoot(ValueError):
     """Raised when a numeric q lands on an excluded root of unity."""
-
-
-class NonUnitModP(ArithmeticError):
-    """Raised when a numeric point does not reduce modulo a prime: q or
-    some p_ij has a numerator or denominator divisible by it."""
 
 
 class IndexOutOfRange(IndexError):
@@ -126,8 +121,7 @@ class QuantumDatum:
     # -- scalars -----------------------------------------------------------
     #
     # Every scalar derives from q, so a datum works the same over Laurent
-    # polynomials, over their rational specialization and over its
-    # reduction mod a prime.
+    # polynomials and over their rational specialization.
 
     def one(self):
         return self._one
@@ -334,32 +328,6 @@ def make_datum(series: str, n: int, mode: str = "multiparameter",
             p[j][i] = qa / p[i][j]
     return QuantumDatum(series, n, mode, cartan, d, vs, assignment,
                         tuple(tuple(row) for row in p), q)
-
-
-def reduce_mod(datum: QuantumDatum, prime: int) -> QuantumDatum:
-    """The numeric datum with q and the p table mapped into GF(prime).
-
-    Evaluation at the rational point followed by reduction mod prime is a
-    ring map as long as q and every p_ij are units mod prime, so anything
-    computed over the result is the residue of the same computation over
-    the rational datum.  Raises ``NonUnitModP`` naming the first of q,
-    p_1_1, p_1_2, ... that is not a unit.  The series, mode and assignment
-    stay those of the rational datum.
-    """
-    if not isinstance(datum.q, Fraction):
-        raise ValueError(f"reduce_mod needs a datum over the rationals, not {datum!r}")
-    field = residue_field(prime)
-
-    def unit(name: str, x: Fraction):
-        if x.numerator % prime == 0 or x.denominator % prime == 0:
-            raise NonUnitModP(f"{name} = {x} is not a unit mod {prime}")
-        return field(x.numerator) / field(x.denominator)
-
-    q = unit("q", datum.q)
-    p = tuple(tuple(unit(f"p_{i}_{j}", x) for j, x in enumerate(row, 1))
-              for i, row in enumerate(datum.p, 1))
-    return QuantumDatum(datum.series, datum.n, datum.mode, datum.cartan, datum.d,
-                        datum.varset, datum.assignment, p, q)
 
 
 # -- structure scalars --------------------------------------------------------

@@ -151,8 +151,7 @@ def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
 
     The scalar 1 - factor q^E is computed once per distinct E, and an
     interleaving whose scalar is zero is skipped before its word is built:
-    E = 0 for the skew bracket and E = 1 for the double bracket, and over
-    GF(p), where q has finite order, other E as well.
+    E = 0 for the skew bracket and E = 1 for the double bracket.
 
     The image of the skew bracket [u, v] is shuffle_bracket(eval(u),
     eval(v)), and that of the double bracket takes factor = q^{-1}.

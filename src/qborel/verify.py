@@ -7,24 +7,28 @@ carries a witness (the first differing term or tensor).  All checks are
 exact: symbolic data compare Laurent polynomials, numeric data compare
 rationals, and independence is certified through full rank of an exact
 evaluation matrix.  That matrix is built in GF(p) for a large prime p, from
-the rational point reduced mod p: full rank modulo p bounds the rational
-rank from below, so the certificate direction is exact; deficiency at a
-point is never taken as a falsification.  Its products run on int
-representatives in [0, p), each product reduced mod p once; reduction
-Z -> GF(p) is a ring map, so every entry is the residue it stands for.
+the rational point: full rank modulo p bounds the rational rank from
+below, so the certificate direction is exact; deficiency at a point is
+never taken as a falsification.  This module holds the package's only
+GF(p) code.  The rational generator images and the p^-1 table are mapped
+once to their residues, ints in [0, p), and the products run on those
+ints, each reduced mod p once.  Every image coefficient is a Laurent
+polynomial in q and the t_ij evaluated where q and every p_ij are units
+mod p, so its denominator is a unit, and Z_(p) -> GF(p) is a ring map:
+every entry is the residue of the rational entry it stands for.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
 from functools import partial, reduce
 from itertools import permutations
 from typing import NamedTuple
 
 from .coeffring import NonDivisible, add_terms
-from .datum import (NonUnitModP, QuantumDatum, make_datum, reduce_mod, sigma,
-                    sigma_closed_form)
+from .datum import QuantumDatum, make_datum, sigma, sigma_closed_form
 from .freeword import FreeElem, left_nested, right_nested, skew_bracket
 from .pbwgen import generator_image, is_pbw_interval, pbw_generators, tau_table
 from .shuffle import (BraidedTensor, ShuffleElem, _interleavings,
@@ -523,6 +527,29 @@ def verify_identity_suite(datum: QuantumDatum, seed: int = 0,
 _RANK_PRIMES = (2147483647, 2147483629)
 
 
+class NonUnitModP(ArithmeticError):
+    """Raised when a numeric point does not reduce modulo a prime: q or
+    some p_ij has a numerator or denominator divisible by it."""
+
+
+def _residue_map(datum: QuantumDatum, p: int):
+    """The map from the rationals of the numeric ``datum`` to their residues
+    mod the prime ``p``, as ints in [0, p).
+
+    Raises ``NonUnitModP`` naming the first of q, p_1_1, p_1_2, ... that is
+    not a unit mod p, and ``ValueError`` for a datum whose scalars are not
+    rationals.
+    """
+    if not isinstance(datum.q, Fraction):
+        raise ValueError(f"reduction mod {p} needs a datum over the rationals, not {datum!r}")
+    named = [("q", datum.q)] + [(f"p_{i}_{j}", x) for i, row in enumerate(datum.p, 1)
+                                for j, x in enumerate(row, 1)]
+    for name, x in named:
+        if x.numerator % p == 0 or x.denominator % p == 0:
+            raise NonUnitModP(f"{name} = {x} is not a unit mod {p}")
+    return lambda x: x.numerator * pow(x.denominator, -1, p) % p
+
+
 def _modp_first_dependent(rows: list, p: int):
     """Incremental row reduction mod p; returns (rank, first dependent row).
 
@@ -553,10 +580,11 @@ def _modp_first_dependent(rows: list, p: int):
     return len(rows), None
 
 
-def _products(datum: QuantumDatum, gens: list, budget: int):
+def _products(datum: QuantumDatum, gens: list, budget: int, p: int):
     """(exponents, terms) of every ordered product of the generators
     ``gens`` with weighted degree <= ``budget``, in lex order; the terms
-    map comonomials to the nonzero scalars of the product's image.
+    map comonomials to the nonzero residues mod p, ints in [0, p), of the
+    product's image at the rational point ``datum``.
 
     The exponents advance like an odometer: the next product takes one
     more copy of the last factor that still fits and drops the factors
@@ -565,27 +593,21 @@ def _products(datum: QuantumDatum, gens: list, budget: int):
     the factors up to j.  The walk needs no recursion, and no closure,
     whose reference cycle would keep the images alive after it.
 
-    Over a datum from ``reduce_mod`` the walk runs on int representatives:
-    the p^-1 table and the generator images are lifted once to their ints
-    in [0, p), each product is taken over the integers and then reduced
-    mod p, dropping its zero entries, before a later product extends it.
-    Reduction Z -> GF(p) is a ring map, so each product is the residue
-    product, at the cost of int arithmetic instead of residue objects.
-    Over other data the products are those of ``shuffle_mul``.
+    The p^-1 table and the memoised rational generator images are mapped
+    once to their residues, dropping zero ones; each product is then taken
+    over the integers and reduced mod p, dropping its zero entries, before
+    a later product extends it.  Raises ``NonUnitModP`` before any image is
+    computed if the point does not reduce mod p.
     """
+    residue = _residue_map(datum, p)
     sizes = [g.degree for g in gens]
     # a generator above the degree bound is never a factor
-    factors = [generator_image(datum, g.k, g.m).terms if size <= budget
-               else None for g, size in zip(gens, sizes)]
-    table, unit = datum._p_inv, ShuffleElem.unit(datum).terms
-    p = getattr(datum.q, "modulus", None)  # residue scalars know their prime
-    if p is not None:
-        table = tuple(tuple(x.value for x in row) for row in table)
-        factors = [None if f is None else {z: c.value for z, c in f.items()}
-                   for f in factors]
-        unit = {(): 1}
+    factors = [{z: s for z, c in generator_image(datum, g.k, g.m).terms.items()
+                if (s := residue(c))} if size <= budget else None
+               for g, size in zip(gens, sizes)]
+    table = tuple(tuple(map(residue, row)) for row in datum._p_inv)
     n = len(gens)
-    combo, degree, image = [0] * n, [0] * n, [unit] * n
+    combo, degree, image = [0] * n, [0] * n, [{(): 1}] * n
     while True:
         yield tuple(combo), image[-1]
         j = n - 1
@@ -593,27 +615,26 @@ def _products(datum: QuantumDatum, gens: list, budget: int):
             j -= 1
         if j < 0:
             return
-        prod = _interleavings(table, image[j], factors[j], None)
-        if p is not None:
-            prod = {z: s for z, c in prod.items() if (s := c % p)}
+        prod = {z: s for z, c in _interleavings(table, image[j], factors[j], None).items()
+                if (s := c % p)}
         combo[j:] = [combo[j] + 1] + [0] * (n - j - 1)
         degree[j:] = [degree[j] + sizes[j]] * (n - j)
         image[j:] = [prod] * (n - j)
 
 
-def pbw_product_rows(datum: QuantumDatum, max_degree: int):
-    """Shuffle images of all ordered PBW power products of bounded degree.
+def pbw_product_rows(datum: QuantumDatum, max_degree: int, p: int):
+    """Shuffle images mod the prime ``p`` of all ordered PBW power products
+    of bounded degree, at the rational point ``datum``.
 
     Returns (combos, generator labels, rows): the exponent tuples in lex
-    order, and for each the map from comonomials to the nonzero scalars of
-    its image.  The scalars are Laurent polynomials or rationals, as the
-    datum's are; for a datum from ``reduce_mod`` they are the ints in
-    [0, p) that represent its residues, since the products run on int
-    representatives, each reduced mod p (see :func:`_products`).
+    order, and for each the map from comonomials to the ints in [0, p)
+    that are the nonzero residues of its image (see :func:`_products`).
+    Raises ``NonUnitModP`` if q or some p_ij is not a unit mod p, and
+    ``ValueError`` for a datum that is not rational.
     """
     gens = pbw_generators(datum)
     combos, rows = [], []
-    for combo, terms in _products(datum, gens, max_degree):
+    for combo, terms in _products(datum, gens, max_degree, p):
         combos.append(combo)
         rows.append(terms)
     return combos, [g.label for g in gens], rows
@@ -623,11 +644,12 @@ def verify_pbw_independence(datum: QuantumDatum, max_degree: int,
                             seed: int = 0) -> VerificationReport:
     """Certify linear independence of ordered PBW products of bounded degree.
 
-    Reduces a rational point modulo a large prime, builds every ordered
-    product's shuffle image over GF(prime), and certifies full row rank of
-    the coefficient matrix over the comonomial basis: since reduction mod
-    the prime is a ring map on the point, full rank there is a lower bound
-    for the rational rank, so the certificate is exact.  The rows are
+    Builds every ordered product's shuffle image at a rational point,
+    reduced modulo a large prime (:func:`pbw_product_rows`), and certifies
+    full row rank of the coefficient matrix over the comonomial basis:
+    since reduction mod the prime is a ring map on the point, full rank
+    there is a lower bound for the rational rank, so the certificate is
+    exact.  The rows are
     eliminated as built, each pivot keyed by its lex-smallest comonomial:
     every row is homogeneous, so inside a multidegree block that is the
     length-then-lex order, and the rank and the first dependent row do not
@@ -648,12 +670,11 @@ def verify_pbw_independence(datum: QuantumDatum, max_degree: int,
         else:
             point = make_datum(datum.series, datum.n, "numeric", seed=at_seed)
         try:
-            point = reduce_mod(point, p)
+            combos, labels, rows = pbw_product_rows(point, max_degree, p)
         except NonUnitModP as exc:
             attempts.append(CaseResult(f"rank at seed {at_seed}: point does not reduce mod {p}",
                                        False, f"NonUnitModP: {exc}"))
             continue
-        combos, labels, rows = pbw_product_rows(point, max_degree)
         rank, dep = _modp_first_dependent(rows, p)
         name = (f"rank at seed {at_seed}: {rank}/{len(rows)} products, "
                 f"{len(set().union(*rows))} comonomials, degree <= {max_degree}")

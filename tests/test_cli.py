@@ -196,6 +196,11 @@ def test_pbw_has_no_mode_option(capsys):
      "rank at seed 0: 321/321 products, 1365 comonomials, degree <= 5"),
     (["--series", "C", "--rank", "3", "--max-degree", "6"],
      "rank at seed 0: 263/263 products, 1093 comonomials, degree <= 6"),
+    # above the benchmark's sizes
+    (["--series", "C", "--rank", "4", "--max-degree", "7"],
+     "rank at seed 0: 1509/1509 products, 21845 comonomials, degree <= 7"),
+    (["--series", "D", "--rank", "4", "--max-degree", "6"],
+     "rank at seed 0: 699/699 products, 5461 comonomials, degree <= 6"),
 ])
 def test_pbw_builds_only_the_point_it_certifies(argv, rank_line, monkeypatch,
                                                 capsys):

@@ -10,7 +10,7 @@ from qborel import coeffring
 from qborel.coeffring import (EXP_LIMIT, DivisionByZero, ExponentOutOfRange,
                               LaurentPoly, MissingAssignment, NonDivisible,
                               VarSet, VarSetMismatch, ZeroAssignment,
-                              add_terms, residue_field)
+                              add_terms)
 
 VS = VarSet(2)  # variables q, t_1_2
 Q = LaurentPoly.q(VS)
@@ -195,72 +195,6 @@ def test_constant_hashes_as_its_integer():
     assert len({LaurentPoly.one(VS), 1}) == 1
     assert hash(LaurentPoly.integer(VS, -7)) == hash(-7)
     assert hash(LaurentPoly.zero(VS)) == hash(0)
-
-
-# -- residues modulo a prime --------------------------------------------------
-
-SMALL, LARGE = residue_field(7), residue_field(2147483647)
-
-
-@given(st.sampled_from([SMALL, LARGE]), st.integers(-30, 30), st.integers(-30, 30),
-       st.integers(-10 ** 12, 10 ** 12))
-@settings(max_examples=200)
-def test_residue_hash_follows_equality(field, m, n, big):
-    p = field.modulus
-    for a, b in ((m, n), (m, m + p), (big, big - 3 * p), (big, n)):
-        x, y = field(a), field(b)
-        assert (x == y) == ((a - b) % p == 0)
-        if x == y:
-            assert hash(x) == hash(y)
-        # an int that equals a residue hashes like it: the balanced one
-        for c in (a, b, int(x), int(x) + p, int(x) - p):
-            if x == c:
-                assert hash(x) == hash(c)
-                assert c == int(x) and -p / 2 < c <= p / 2
-    assert {field(m), field(m + p), int(field(m))} == {field(m)}
-
-
-def test_residue_arithmetic_mixes_with_int():
-    x = SMALL(3)
-    assert SMALL(10) == x and SMALL(6) == -1 and str(SMALL(6)) == "-1"
-    assert x + 5 == 5 + x == 1
-    assert x - 5 == -2 and 5 - x == 2 and -x == -3
-    assert x * 4 == 4 * x == -2
-    assert x / 2 == -2 and 2 / x == 3 and x * x ** -1 == 1
-    assert x ** 6 == 1 and x ** 0 == 1 and x ** -2 == -3
-    assert not SMALL(14) and SMALL(8) and SMALL(0) == 0
-    assert type(x + x) is SMALL and type(1 - x) is SMALL and type(2 / x) is SMALL
-    assert residue_field(7) is SMALL
-    with pytest.raises(TypeError):
-        SMALL(Fraction(1, 2))
-    with pytest.raises(ValueError):
-        residue_field(1)
-
-
-def test_residue_zero_has_no_inverse():
-    for zero in (SMALL(0), SMALL(7), LARGE(0)):
-        with pytest.raises(ZeroDivisionError):
-            zero ** -1
-        with pytest.raises(ZeroDivisionError):
-            1 / zero
-        with pytest.raises(ZeroDivisionError):
-            type(zero)(5) / zero
-        with pytest.raises(ZeroDivisionError):
-            type(zero)(5) / 0
-    assert SMALL(0) ** 0 == 1
-
-
-def test_residues_of_two_primes_never_mix():
-    other = residue_field(11)
-    for a in range(-3, 4):
-        assert SMALL(a) != other(a) and other(a) != SMALL(a)
-        assert SMALL(a) != Fraction(a) and Fraction(a) != SMALL(a)
-    with pytest.raises(TypeError):
-        SMALL(1) + other(1)
-    with pytest.raises(TypeError):
-        SMALL(1) * other(1)
-    with pytest.raises(TypeError):
-        SMALL(1) * Q
 
 
 def test_distinct_varsets_of_one_rank_mix():

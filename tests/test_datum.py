@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 import qborel
 from qborel.coeffring import LaurentPoly, MissingAssignment, ZeroAssignment
-from qborel.coeffring import residue_field
-from qborel.datum import (IndexOutOfRange, InvalidRank, NonUnitModP,
+from qborel.datum import (IndexOutOfRange, InvalidRank,
                           NumericAssignmentHitsExcludedRoot, make_datum, mu,
-                          reduce_mod, sigma, sigma_closed_form)
+                          sigma, sigma_closed_form)
 
 C2 = make_datum("C", 2)
 C3 = make_datum("C", 3)
@@ -138,42 +137,7 @@ def test_numeric_datum_evaluates_no_laurent_polynomial(monkeypatch):
 
     monkeypatch.setattr(LaurentPoly, "evaluate", refuse)
     for series in ("C", "D"):
-        d = make_datum(series, 4, "numeric")
-        for prime in (2147483647, 2147483629):
-            reduce_mod(d, prime)._verify_relations()
-
-
-@pytest.mark.parametrize("series", ["C", "D"])
-def test_reduce_mod_keeps_the_relations(series):
-    prime = 2147483629
-    field = residue_field(prime)
-    point = make_datum(series, 4, "numeric", seed=2)
-    d = reduce_mod(point, prime)
-    d._verify_relations()
-    assert (d.series, d.n, d.mode, d.assignment) == (series, 4, "numeric", point.assignment)
-    assert type(d.q) is field and d.q == 9 and d.one() == 1 and not d.zero()
-    for row, rational_row, inv_row in zip(d.p, point.p, d._p_inv):
-        for x, r, inv in zip(row, rational_row, inv_row):
-            assert type(x) is field and x * r.denominator == r.numerator
-            assert x * inv == 1
-
-
-def test_reduce_mod_refuses_non_units():
-    prime = 101
-    # t_1_2 = 101: p_1_2 has numerator 101 and p_2_1 = q^-2 / t_1_2 denominator 101
-    d = make_datum("C", 2, "numeric", assignment={"q": 5, "t_1_2": 101})
-    with pytest.raises(NonUnitModP, match="p_1_2 = 101 is not a unit mod 101"):
-        reduce_mod(d, prime)
-    d = make_datum("C", 2, "numeric", assignment={"q": 5, "t_1_2": Fraction(1, 202)})
-    with pytest.raises(NonUnitModP, match="p_1_2 = 1/202 is not a unit mod 101"):
-        reduce_mod(d, prime)
-    d = make_datum("C", 2, "numeric", assignment={"q": Fraction(3, 101), "t_1_2": 7})
-    with pytest.raises(NonUnitModP, match="q = 3/101 is not a unit mod 101"):
-        reduce_mod(d, prime)
-    # the same points reduce modulo another prime
-    assert reduce_mod(d, 103).q.value == 3 * pow(101, -1, 103) % 103
-    with pytest.raises(ValueError):
-        reduce_mod(make_datum("C", 2), prime)
+        make_datum(series, 4, "numeric")._verify_relations()
 
 
 def test_letters_and_folding():
@@ -225,8 +189,7 @@ def test_p_words_bimultiplicative(u, w, v):
     assert C3.p_words(v, u + w) == C3.p_words(v, u) * C3.p_words(v, w)
 
 
-P_WORDS_DATA = {"C3": C3, "D4": D4,
-                "C3 mod p": reduce_mod(make_datum("C", 3, "numeric"), 2147483647)}
+P_WORDS_DATA = {"C3": C3, "D4": D4}
 
 
 @pytest.mark.parametrize("name", sorted(P_WORDS_DATA))
@@ -274,7 +237,6 @@ def test_p_words_key_path_only_for_monic_monomial_tables():
     assert all(d._p_keys is not None for d in KEY_PATH_DATA.values())
     numeric = make_datum("C", 3, "numeric")
     assert numeric._p_keys is None
-    assert reduce_mod(numeric, 31)._p_keys is None
 
 
 @pytest.mark.parametrize("d", [C3, D4, make_datum("C", 3, "numeric")],

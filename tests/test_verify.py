@@ -9,13 +9,13 @@ from fractions import Fraction
 from itertools import product
 
 from qborel import cli, verify
-from qborel.coeffring import add_terms, residue_field
-from qborel.datum import NonUnitModP, make_datum, reduce_mod
+from qborel.coeffring import add_terms
+from qborel.datum import make_datum
 from qborel.pbwgen import generator_image, pbw_generators, tau_table
 from qborel.freeword import skew_bracket
 from qborel.shuffle import BraidedTensor, ShuffleElem, comonomial_str, shuffle_mul
 from qborel.verify import (_RANK_PRIMES, NonProportionalProjection,
-                           _modp_first_dependent, coproduct_formula,
+                           NonUnitModP, _modp_first_dependent, coproduct_formula,
                            pbw_product_rows,
                            run_suites, serre_relations,
                            verify_an_no_exceptions, verify_arrangements,
@@ -266,11 +266,11 @@ def test_modp_first_dependent():
 @pytest.mark.parametrize("series, n, degree", [("C", 2, 6), ("C", 3, 5),
                                                ("D", 3, 5)])
 def test_pbw_products_walk_in_lex_order(series, n, degree):
-    d = reduce_mod(make_datum(series, n, "numeric"), _RANK_PRIMES[0])
+    d = make_datum(series, n, "numeric")
     degrees = [g.degree for g in pbw_generators(d)]
     want = [e for e in product(*(range(degree // g + 1) for g in degrees))
             if sum(x * g for x, g in zip(e, degrees)) <= degree]
-    assert pbw_product_rows(d, degree)[0] == want
+    assert pbw_product_rows(d, degree, _RANK_PRIMES[0])[0] == want
 
 
 def test_pbw_products_walk_past_the_recursion_limit():
@@ -282,25 +282,54 @@ def test_pbw_products_walk_past_the_recursion_limit():
         "rank at seed 0: 592/592 products, 1057 comonomials, degree <= 2"
 
 
+def residues(terms, p):
+    """The nonzero residues mod p, as ints in [0, p), of rational terms."""
+    return {z: s for z, c in terms.items()
+            if (s := c.numerator * pow(c.denominator, -1, p) % p)}
+
+
 @pytest.mark.parametrize("series, n", [("C", 2), ("C", 3), ("C", 4),
                                        ("D", 3), ("D", 4)])
 def test_pbw_int_rows_are_the_residue_rows_of_shuffle_mul(series, n):
     p = _RANK_PRIMES[0]
-    d = reduce_mod(make_datum(series, n, "numeric"), p)
-    images = [generator_image(d, g.k, g.m) for g in pbw_generators(d)]
-    combos, _, rows = pbw_product_rows(d, 6)
-    # the reference multiplies residues: each product is its parent, the
-    # combo less one copy of its last factor, times that factor
-    reference = {(0,) * len(images): ShuffleElem.unit(d)}
-    for combo, row in zip(combos, rows):
-        if any(combo):
-            last = max(j for j, e in enumerate(combo) if e)
-            parent = combo[:last] + (combo[last] - 1,) + combo[last + 1:]
-            reference[combo] = shuffle_mul(d, reference[parent], images[last])
-        # the same keys in the same order, each with its residue's int
-        assert list(row.items()) == [(z, c.value)
-                                     for z, c in reference[combo].terms.items()]
-        assert all(type(c) is int and 0 < c < p for c in row.values())
+    for seed in (0, 1):
+        d = make_datum(series, n, "numeric", seed=seed)
+        images = [generator_image(d, g.k, g.m) for g in pbw_generators(d)]
+        combos, _, rows = pbw_product_rows(d, 6, p)
+        # the reference multiplies rationals: each product is its parent,
+        # the combo less one copy of its last factor, times that factor
+        reference = {(0,) * len(images): ShuffleElem.unit(d)}
+        for combo, row in zip(combos, rows):
+            if any(combo):
+                last = max(j for j, e in enumerate(combo) if e)
+                parent = combo[:last] + (combo[last] - 1,) + combo[last + 1:]
+                reference[combo] = shuffle_mul(d, reference[parent], images[last])
+            assert row == residues(reference[combo].terms, p)
+            assert all(type(c) is int and 0 < c < p for c in row.values())
+    # a point whose rows have no residues is refused, not reduced
+    bad = dict(d.assignment, t_1_2=Fraction(1, p))
+    with pytest.raises(NonUnitModP):
+        pbw_product_rows(make_datum(series, n, "numeric", assignment=bad), 6, p)
+
+
+def test_pbw_rows_refuse_non_units():
+    prime = 101
+    # t_1_2 = 101: p_1_2 has numerator 101 and p_2_1 = q^-2 / t_1_2 denominator 101
+    d = make_datum("C", 2, "numeric", assignment={"q": 5, "t_1_2": 101})
+    with pytest.raises(NonUnitModP, match="p_1_2 = 101 is not a unit mod 101"):
+        pbw_product_rows(d, 2, prime)
+    d = make_datum("C", 2, "numeric", assignment={"q": 5, "t_1_2": Fraction(1, 202)})
+    with pytest.raises(NonUnitModP, match="p_1_2 = 1/202 is not a unit mod 101"):
+        pbw_product_rows(d, 2, prime)
+    d = make_datum("C", 2, "numeric", assignment={"q": Fraction(3, 101), "t_1_2": 7})
+    with pytest.raises(NonUnitModP, match="q = 3/101 is not a unit mod 101"):
+        pbw_product_rows(d, 2, prime)
+    # the same points reduce modulo another prime
+    assert verify._residue_map(d, 103)(d.q) == 3 * pow(101, -1, 103) % 103
+    rows = pbw_product_rows(d, 2, 103)[2]
+    assert rows[0] == {(): 1} and all(0 < c < 103 for row in rows for c in row.values())
+    with pytest.raises(ValueError):
+        pbw_product_rows(make_datum("C", 2), 2, prime)
 
 
 def test_pbw_rows_leave_no_reference_cycle():
@@ -309,9 +338,9 @@ def test_pbw_rows_leave_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        d = reduce_mod(make_datum("C", 2, "numeric"), _RANK_PRIMES[0])
+        d = make_datum("C", 2, "numeric")
         alive = weakref.ref(d)
-        rows = pbw_product_rows(d, 3)
+        rows = pbw_product_rows(d, 3, _RANK_PRIMES[0])
         del d, rows
         assert alive() is None
     finally:
@@ -321,16 +350,15 @@ def test_pbw_rows_leave_no_reference_cycle():
 @pytest.mark.parametrize("series, n, degree", [("D", 4, 5), ("C", 3, 6)])
 def test_modp_elimination_on_comonomial_keys(series, n, degree):
     p = _RANK_PRIMES[0]
-    rows = pbw_product_rows(reduce_mod(make_datum(series, n, "numeric"), p),
-                            degree)[2]
-    R = residue_field(p)
-    # plant 2 * row 5 - 3 * row 9, with residues above p/2, after row 20,
-    # as the balanced ints of its residues
+    rows = pbw_product_rows(make_datum(series, n, "numeric"), degree, p)[2]
+    # plant 2 * row 5 - 3 * row 9, taken mod p, after row 20, as balanced
+    # ints in (-p/2, p/2]
     planted = {}
-    add_terms(planted, ((z, R(c) * 2) for z, c in rows[5].items()))
-    add_terms(planted, ((z, R(c) * R(p - 3)) for z, c in rows[9].items()))
-    assert any(int(c) < 0 for c in planted.values())
-    planted = {z: int(c) for z, c in planted.items()}
+    add_terms(planted, ((z, 2 * c) for z, c in rows[5].items()))
+    add_terms(planted, ((z, -3 * c) for z, c in rows[9].items()))
+    planted = {z: s - p if s > p // 2 else s
+               for z, c in planted.items() if (s := c % p)}
+    assert any(c < 0 for c in planted.values())
     for matrix, want in [(rows, (len(rows), None)),
                          (rows[:21] + [planted] + rows[21:], (21, 21))]:
         # int rows whose columns are numbered as they first appear
@@ -361,25 +389,6 @@ def test_pbw_independence_names_a_planted_dependent_product(monkeypatch):
 def test_pbw_independence_numeric_datum():
     d = make_datum("C", 2, "numeric")
     assert verify_pbw_independence(d, 3, seed=0).passed
-
-
-@pytest.mark.parametrize("series, n, degree", [("C", 2, 6), ("C", 3, 6),
-                                               ("D", 3, 5), ("D", 4, 5)])
-def test_pbw_rows_mod_p_are_residues_of_rational_rows(series, n, degree):
-    prime = _RANK_PRIMES[0]
-    point = make_datum(series, n, "numeric", seed=1)
-    rational = pbw_product_rows(point, degree)
-    residues = pbw_product_rows(reduce_mod(point, prime), degree)
-    assert residues[:2] == rational[:2]
-    assert len(residues[2]) == len(rational[2])
-    for got, want in zip(residues[2], rational[2]):
-        want = {z: c.numerator * pow(c.denominator, -1, prime) % prime
-                for z, c in want.items()}
-        assert got == {z: c for z, c in want.items() if c}
-    # a point whose rows have no residues is refused, not reduced
-    bad = dict(point.assignment, t_1_2=Fraction(1, prime))
-    with pytest.raises(NonUnitModP):
-        reduce_mod(make_datum(series, n, "numeric", assignment=bad), prime)
 
 
 def test_pbw_independence_retries_a_point_that_does_not_reduce(monkeypatch, capsys):
