@@ -288,28 +288,47 @@ def residues(terms, p):
             if (s := c.numerator * pow(c.denominator, -1, p) % p)}
 
 
+def rational_images(d, combos):
+    """The rational shuffle images of the PBW products ``combos``, in lex
+    order: each product is its parent, the combo less one copy of its last
+    factor, times that factor."""
+    images = [generator_image(d, g.k, g.m) for g in pbw_generators(d)]
+    reference = {(0,) * len(images): ShuffleElem.unit(d)}
+    for combo in combos:
+        if any(combo):
+            last = max(j for j, e in enumerate(combo) if e)
+            parent = combo[:last] + (combo[last] - 1,) + combo[last + 1:]
+            reference[combo] = shuffle_mul(d, reference[parent], images[last])
+    return [reference[combo] for combo in combos]
+
+
 @pytest.mark.parametrize("series, n", [("C", 2), ("C", 3), ("C", 4),
                                        ("D", 3), ("D", 4)])
 def test_pbw_int_rows_are_the_residue_rows_of_shuffle_mul(series, n):
     p = _RANK_PRIMES[0]
-    for seed in (0, 1):
-        d = make_datum(series, n, "numeric", seed=seed)
-        images = [generator_image(d, g.k, g.m) for g in pbw_generators(d)]
-        combos, _, rows = pbw_product_rows(d, 6, p)
-        # the reference multiplies rationals: each product is its parent,
-        # the combo less one copy of its last factor, times that factor
-        reference = {(0,) * len(images): ShuffleElem.unit(d)}
-        for combo, row in zip(combos, rows):
-            if any(combo):
-                last = max(j for j, e in enumerate(combo) if e)
-                parent = combo[:last] + (combo[last] - 1,) + combo[last + 1:]
-                reference[combo] = shuffle_mul(d, reference[parent], images[last])
-            assert row == residues(reference[combo].terms, p)
-            assert all(type(c) is int and 0 < c < p for c in row.values())
+    d = make_datum(series, n, "numeric")
+    combos, _, rows = pbw_product_rows(d, 6, p)
+    for row, image in zip(rows, rational_images(d, combos), strict=True):
+        assert row == residues(image.terms, p)
+        assert all(type(c) is int and 0 < c < p for c in row.values())
+
+
+@pytest.mark.parametrize("series, n, degree", [("C", 2, 6), ("C", 3, 6),
+                                               ("D", 3, 5), ("D", 4, 5)])
+def test_pbw_rows_mod_p_are_residues_of_rational_rows(series, n, degree):
+    prime = _RANK_PRIMES[0]
+    point = make_datum(series, n, "numeric", seed=1)
+    gens = pbw_generators(point)
+    combos, labels, rows = pbw_product_rows(point, degree, prime)
+    assert labels == [g.label for g in gens]
+    assert combos == [e for e in product(*(range(degree // g.degree + 1) for g in gens))
+                      if sum(x * g.degree for x, g in zip(e, gens)) <= degree]
+    for got, want in zip(rows, rational_images(point, combos), strict=True):
+        assert got == residues(want.terms, prime)
     # a point whose rows have no residues is refused, not reduced
-    bad = dict(d.assignment, t_1_2=Fraction(1, p))
+    bad = dict(point.assignment, t_1_2=Fraction(1, prime))
     with pytest.raises(NonUnitModP):
-        pbw_product_rows(make_datum(series, n, "numeric", assignment=bad), 6, p)
+        pbw_product_rows(make_datum(series, n, "numeric", assignment=bad), degree, prime)
 
 
 def test_pbw_rows_refuse_non_units():
