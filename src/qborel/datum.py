@@ -88,7 +88,7 @@ class QuantumDatum:
 
     __slots__ = ("series", "n", "mode", "cartan", "d", "varset", "assignment",
                  "p", "q", "_p_inv", "_b", "_index", "_p_keys", "_p_bound",
-                 "_one", "_zero", "__weakref__")
+                 "_p_fracs", "_q_pow", "_one", "_zero", "__weakref__")
 
     def __init__(self, series, n, mode, cartan, d, varset, assignment, p, q):
         self.series = series
@@ -110,10 +110,18 @@ class QuantumDatum:
         # the packed keys of p when every entry is a monomial with
         # coefficient 1 (the Laurent tables of make_datum), else None
         self._p_keys = self._p_bound = None
+        # the numerators and denominators of p when every entry is a
+        # Fraction (the numeric tables of make_datum), else None
+        self._p_fracs = None
         if all(isinstance(x, LaurentPoly) and list(x.terms.values()) == [1]
                for row in p for x in row):
             self._p_keys = tuple(tuple(next(iter(x.terms)) for x in row) for row in p)
             self._p_bound = max(x._bound for row in p for x in row)
+        elif all(isinstance(x, Fraction) for row in p for x in row):
+            self._p_fracs = (tuple(tuple(x.numerator for x in row) for row in p),
+                             tuple(tuple(x.denominator for x in row) for row in p))
+        # exponent -> q ** exponent, filled on first use
+        self._q_pow = {}
         self._one = q ** 0
         self._zero = q * 0
         self._verify_relations()
@@ -133,7 +141,10 @@ class QuantumDatum:
         return self._one * c
 
     def q_power(self, exp: int):
-        return self.q ** exp
+        out = self._q_pow.get(exp)
+        if out is None:
+            out = self._q_pow[exp] = self.q ** exp
+        return out
 
     # -- the folded alphabet -------------------------------------------------
 
@@ -181,7 +192,9 @@ class QuantumDatum:
         bicharacter product.  It depends only on the multidegrees.
 
         Over a table of monic monomials the packed keys of the pairs are
-        summed into one monomial; other scalars are multiplied pair by pair.
+        summed into one monomial; over a rational table the numerators and
+        the denominators are multiplied as ints into one Fraction; other
+        scalars are multiplied pair by pair.
         """
         rows, cols = self._indices(u), self._indices(v)
         keys = self._p_keys
@@ -190,6 +203,15 @@ class QuantumDatum:
             if bound <= EXP_LIMIT:
                 key = sum(sum(map(keys[i].__getitem__, cols)) for i in rows)
                 return _laurent(self.varset, {key: 1}, bound)
+        if self._p_fracs is not None:
+            nums, dens = self._p_fracs
+            num = den = 1
+            for i in rows:
+                nrow, drow = nums[i], dens[i]
+                for j in cols:
+                    num *= nrow[j]
+                    den *= drow[j]
+            return Fraction(num, den)
         out = self._one
         for i in rows:
             row = self.p[i]

@@ -344,15 +344,6 @@ def braided_coproduct(s: ShuffleElem, reduced: bool = False) -> BraidedTensor:
     return BraidedTensor._fresh(out)
 
 
-def tensor_of(left: ShuffleElem, right: ShuffleElem) -> BraidedTensor:
-    """The outer product sum of (left term) (x) (right term)."""
-    out: dict = {}
-    for zl, cl in left.terms.items():
-        for zr, cr in right.terms.items():
-            out[(zl, zr)] = cl * cr
-    return BraidedTensor._fresh(out)
-
-
 def tensor_project_pair(t: BraidedTensor, left_deg: Sequence[int],
                         right_deg: Sequence[int]) -> BraidedTensor:
     """Sub-sum with both component multidegrees prescribed."""

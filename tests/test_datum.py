@@ -233,6 +233,35 @@ def test_p_words_key_sum_is_the_product_loop(name, data):
     assert got == want
 
 
+RATIONAL_PATH_DATA = {f"{series}{n}-numeric": make_datum(series, n, "numeric")
+                      for series, n in (("C", 3), ("D", 4))}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_PATH_DATA))
+@given(data=st.data())
+@settings(max_examples=40)
+def test_p_words_int_product_is_the_product_loop(name, data):
+    d = RATIONAL_PATH_DATA[name]
+    word = st.lists(st.integers(1, d.max_letter), max_size=6).map(tuple)
+    u, v = data.draw(word), data.draw(word)
+    want = d.one()
+    for a in u:
+        for b in v:
+            want = want * d.p_phys(d.physical(a), d.physical(b))
+    # the rational path multiplies numerators and denominators as ints
+    with mock.patch.object(Fraction, "__mul__", side_effect=AssertionError):
+        got = d.p_words(u, v)
+    assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("mode", ["multiparameter", "numeric"])
+def test_q_power_is_memoised_per_datum(mode):
+    d = make_datum("C", 2, mode)
+    for e in range(-3, 4):
+        assert d.q_power(e) == d.q ** e
+        assert d.q_power(e) is d.q_power(e)
+
+
 def test_p_words_key_path_only_for_monic_monomial_tables():
     assert all(d._p_keys is not None for d in KEY_PATH_DATA.values())
     numeric = make_datum("C", 3, "numeric")

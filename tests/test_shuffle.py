@@ -12,7 +12,7 @@ from qborel.freeword import (FreeElem, NonHomogeneousOperand, pbw_bracketing,
 from qborel.shuffle import (BraidedTensor, ShuffleElem, braided_coproduct,
                             comonomial_degree, eval_free, eval_word,
                             shuffle_bracket, shuffle_letter_mul, shuffle_mul,
-                            tensor_of, tensor_project_pair)
+                            tensor_project_pair)
 from qborel.pbwgen import pbw_generators
 from qborel.verify import _RANK_PRIMES, pbw_product_rows
 
@@ -221,14 +221,6 @@ def test_eval_is_multiplicative():
     rhs = eval_word(C3, (1, 2))
     rhs = shuffle_letter_mul(C3, rhs, 3)
     assert lhs == rhs
-
-
-def test_tensor_of_outer_product():
-    l = mono(C2, (1,)) + mono(C2, (2,), C2.q_power(1))
-    r = mono(C2, (2,))
-    got = tensor_of(l, r)
-    assert got.terms[((1,), (2,))] == C2.one()
-    assert got.terms[((2,), (2,))] == C2.q_power(1)
 
 
 def eval_by_words(datum, f):

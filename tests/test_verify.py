@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 from qborel import cli, verify
-from qborel.coeffring import add_terms
+from qborel.coeffring import NonDivisible, add_terms
 from qborel.datum import make_datum
 from qborel.pbwgen import generator_image, pbw_generators, tau_table
 from qborel.freeword import skew_bracket
@@ -169,7 +169,8 @@ def test_coproduct_formula_rejects_an_unknown_mode(monkeypatch, mode):
 
 
 def test_coproduct_suite_catches_a_wrong_closed_form(monkeypatch):
-    # the suite runs discover only, so a wrong tau table must still fail it
+    # a wrong tau table fails assert mode, and the discovered taus name the
+    # first tau that differs from it
     real = verify.tau_table
     tau_2 = real(C3, 1, 5)[2]
 
@@ -191,6 +192,77 @@ def test_an_cross_check_catches_a_non_unit_tau(monkeypatch):
     report = verify_an_no_exceptions(make_datum("A", 3))
     assert [c.name for c in report.failures()] == ["v[1,3]"]
     assert report.failures()[0].witness == "at tau_2: 2 != 1"
+
+
+def _discover_case(datum, k, m, name):
+    """The reference suite case: discover the taus, then compare them with
+    the tau table."""
+    try:
+        got = coproduct_formula(datum, k, m, mode="discover").tau_map()
+    except (NonProportionalProjection, NonDivisible) as exc:
+        return verify.CaseResult(name, False, str(exc))
+    want = tau_table(datum, k, m)
+    if got != want:
+        return verify.CaseResult(
+            name, False, verify._first_diff(got, want, lambda i: f"tau_{i}"))
+    return verify.CaseResult(name, True)
+
+
+FAULTS = {
+    "double": lambda terms, key: terms.__setitem__(key, terms[key] * 2),
+    "negate": lambda terms, key: terms.__setitem__(key, -terms[key]),
+    "drop": lambda terms, key: terms.__delitem__(key),
+    # a pair of the wrong total degree, so no split can cover it
+    "stray": lambda terms, key: terms.__setitem__(
+        (key[0], key[1] + (1,)), terms[key]),
+}
+
+
+@pytest.mark.parametrize("d", [C3, D4], ids=lambda d: f"{d.series}{d.n}")
+def test_assert_first_case_matches_discover_under_planted_faults(monkeypatch, d):
+    # assert mode decides a case alone only when it passes; a fault planted
+    # at any pair of any reduced coproduct must give the verdict and witness
+    # of discover plus the table
+    real = verify.braided_coproduct
+    planted = [None]
+
+    def faulty(s, reduced=False):
+        t = real(s, reduced)
+        if planted[0] is not None:
+            fault, key = planted[0]
+            FAULTS[fault](t.terms, key)
+        return t
+
+    monkeypatch.setattr(verify, "braided_coproduct", faulty)
+    witnesses = set()
+    for k in range(1, d.max_letter + 1):
+        for m in range(k + 1, d.max_letter + 1):
+            planted[0] = None
+            keys = coproduct_formula(d, k, m).braided.terms
+            assert verify._coproduct_case(d, k, m, "case") == \
+                verify.CaseResult("case", True)
+            for key in keys:
+                for fault in FAULTS:
+                    planted[0] = (fault, key)
+                    got = verify._coproduct_case(d, k, m, "case")
+                    assert got == _discover_case(d, k, m, "case"), (k, m, key, fault)
+                    if not got.passed:
+                        witnesses.add(got.witness.startswith("at tau_"))
+    # both witness kinds occur: a wrong tau and a pair the formula misses
+    assert witnesses == {True, False}
+
+
+def test_tau_table_vanishes_exactly_at_a_vanishing_split():
+    # the tau table is 0 exactly where one of the split's generator images
+    # is 0 (e[n,n] of series D), so assert mode passes only where discover
+    # finds the table's taus
+    for d in (C3, D4, make_datum("D", 5, "numeric")):
+        for k in range(1, d.max_letter + 1):
+            for m in range(k, d.max_letter + 1):
+                for i, tau in tau_table(d, k, m).items():
+                    vanishes = (not generator_image(d, i + 1, m)
+                                or not generator_image(d, k, i))
+                    assert (not tau) == vanishes, (d, k, m, i)
 
 
 @pytest.mark.parametrize("d", [C2, C3, D3, D4], ids=lambda d: f"{d.series}{d.n}")
