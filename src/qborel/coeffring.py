@@ -504,6 +504,32 @@ def _laurent(vs: VarSet, terms: dict, bound: int) -> LaurentPoly:
     return p
 
 
+def kronecker_form(c, bits: int):
+    """The Kronecker form (t-key, e0, l1, g(2^bits)) of a LaurentPoly
+    c = T q^e0 g(q) whose terms share one t-monomial T, with g a polynomial
+    and g(0) != 0: T's packed key, the lowest q exponent, the l1 norm of the
+    coefficients and one int; None for any other scalar.
+
+    The forms of a product are the key sums, the e0 sums, the value product
+    and, as a bound on its l1 norm, the l1 product.
+    """
+    if c.__class__ is not LaurentPoly or not c.terms:
+        return None
+    terms = c.terms
+    # q owns slot 0: its balanced digit is the key's low 32 bits, signed
+    if len(terms) == 1:
+        (k, a), = terms.items()
+        e = ((k + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
+        return k - e, e, abs(a), a
+    qexps = [((k + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31 for k in terms]
+    tkeys = {k - e for k, e in zip(terms, qexps)}
+    if len(tkeys) != 1:
+        return None
+    e0 = min(qexps)
+    return (tkeys.pop(), e0, sum(map(abs, terms.values())),
+            sum(a << bits * (e - e0) for a, e in zip(terms.values(), qexps)))
+
+
 # -- sparse linear combinations ---------------------------------------------
 
 def add_terms(out: dict, pairs) -> dict:

@@ -159,23 +159,31 @@ def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
     return _bracket(datum, a, b, factor, _one_pass_bracket)
 
 
+_leaf_scalars: "weakref.WeakKeyDictionary[QuantumDatum, dict]" = weakref.WeakKeyDictionary()
+
+
 def _one_pass_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
                       factor) -> ShuffleElem:
-    return ShuffleElem._fresh(_interleavings(datum._p_inv, a.terms, b.terms,
-                                             _LeafScalars(datum, factor)))
+    by_factor = _leaf_scalars.setdefault(datum, {})
+    scalars = by_factor.get(factor)
+    if scalars is None:
+        scalars = by_factor[factor] = _LeafScalars(datum, factor)
+    return ShuffleElem._fresh(_interleavings(datum._p_inv, a.terms, b.terms, scalars))
 
 
 class _LeafScalars(dict):
     """1 - factor q^E by energy E, each computed on first use, and the
-    energy table b(x, y) that E sums."""
+    energy table b(x, y) that E sums; memoised per datum and factor, so it
+    holds q, one and the table but not the datum, which would keep itself
+    alive as a key of the weak memo."""
 
     def __init__(self, datum: QuantumDatum, factor):
         super().__init__()
-        self.datum, self.factor, self.energy = datum, factor, datum._b
+        self.q, self.one, self.factor, self.energy = datum.q, datum.one(), factor, datum._b
 
     def __missing__(self, e: int):
-        qe = self.datum.q_power(e)
-        f = self[e] = self.datum.one() - (qe if self.factor is None else self.factor * qe)
+        qe = self.q ** e
+        f = self[e] = self.one - (qe if self.factor is None else self.factor * qe)
         return f
 
 

@@ -10,7 +10,7 @@ from qborel import coeffring
 from qborel.coeffring import (EXP_LIMIT, DivisionByZero, ExponentOutOfRange,
                               LaurentPoly, MissingAssignment, NonDivisible,
                               VarSet, VarSetMismatch, ZeroAssignment,
-                              add_terms)
+                              add_terms, kronecker_form)
 
 VS = VarSet(2)  # variables q, t_1_2
 Q = LaurentPoly.q(VS)
@@ -533,3 +533,35 @@ def test_same_length_near_misses_match_reference(e, f, db, miss, data):
             a / b
     else:
         assert as_tuples(a / b) == want
+
+
+def t_homogeneous(vs):
+    """Nonzero polynomials T q^e0 g(q) with one t-monomial T over ``vs``,
+    negative q and t exponents included."""
+    return st.builds(
+        lambda t, qpoly: LaurentPoly(vs, {(e, *t): c for e, c in qpoly.items()}),
+        st.tuples(*[st.integers(-3, 3)] * (vs.nvars - 1)),
+        st.dictionaries(st.integers(-4, 4), st.integers(-3, 3).filter(bool),
+                        min_size=1, max_size=4))
+
+
+def test_kronecker_form_reads_one_t_monomial():
+    # (2 q - 3 q^-1) t_1_2^-1 = t_1_2^-1 q^-1 (-3 + 2 q^2)
+    (tkey, _), = (T ** -1).terms.items()
+    assert kronecker_form((2 * Q - 3 * Q ** -1) * T ** -1, 8) == \
+        (tkey, -1, 5, -3 + (2 << 16))
+    assert kronecker_form(-Q ** 2, 128) == (0, 2, 1, -1)
+    assert kronecker_form(T ** -1 * 3, 128) == (tkey, 0, 3, 3)
+    # no form: zero, a rational, an int, two t-monomials
+    for c in (LaurentPoly.zero(VS), Fraction(3, 2), 3, Q + T, Q * (1 + T)):
+        assert kronecker_form(c, 128) is None
+
+
+@given(t_homogeneous(VS4), t_homogeneous(VS4), st.sampled_from((4, 8, 128)))
+@settings(max_examples=150)
+def test_kronecker_forms_multiply_componentwise(f, g, bits):
+    ff, fg, fp = (kronecker_form(x, bits) for x in (f, g, f * g))
+    assert fp[:2] == (ff[0] + fg[0], ff[1] + fg[1])
+    assert fp[2] <= ff[2] * fg[2]
+    assert fp[3] == ff[3] * fg[3]
+    assert fp[2] == sum(map(abs, (f * g).terms.values()))

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -413,6 +415,36 @@ def test_one_pass_bracket_skips_every_vanishing_energy():
             got = shuffle_bracket(datum, a, b, datum.q_power(-1))
             assert got == two_product_bracket(datum, a, b, datum.q_power(-1))
             assert len(got.terms) == words and all(got.terms.values())
+
+
+def test_leaf_scalars_are_computed_once_per_datum_and_factor(monkeypatch):
+    # 1 - factor q^E is memoised per (datum, factor) across brackets, and
+    # its memo leaves the datum collectable
+    calls = []
+    real = shuffle._LeafScalars.__missing__
+
+    def spy(self, e):
+        calls.append((self.factor, e))
+        return real(self, e)
+
+    monkeypatch.setattr(shuffle._LeafScalars, "__missing__", spy)
+    gc.collect()
+    gc.disable()
+    try:
+        d = make_datum("C", 3)
+        alive = weakref.ref(d)
+        for factor in (None, d.q_power(-1)):
+            a, b = mono(d, (1,)), mono(d, (1, 2))
+            first = shuffle_bracket(d, a, b, factor)
+            seen = len(calls)
+            assert shuffle_bracket(d, a, b, factor) == first
+            assert len(calls) == seen
+            shuffle_bracket(d, mono(d, (2,)), mono(d, (1, 2)), factor)
+        assert calls and len(set(calls)) == len(calls)
+        del d, factor
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_shuffle_bracket_needs_homogeneous_operands():

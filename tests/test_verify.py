@@ -4,12 +4,14 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 from itertools import product
 
 from qborel import cli, verify
-from qborel.coeffring import NonDivisible, add_terms
+from qborel.coeffring import LaurentPoly, NonDivisible, VarSet, add_terms, kronecker_form
 from qborel.datum import make_datum
 from qborel.pbwgen import generator_image, pbw_generators, tau_table
 from qborel.freeword import skew_bracket
@@ -250,6 +252,123 @@ def test_assert_first_case_matches_discover_under_planted_faults(monkeypatch, d)
                         witnesses.add(got.witness.startswith("at tau_"))
     # both witness kinds occur: a wrong tau and a pair the formula misses
     assert witnesses == {True, False}
+
+
+@pytest.mark.parametrize("d", [C3, D4], ids=lambda d: f"{d.series}{d.n}")
+def test_planted_faults_with_forms_read_at_q_16(monkeypatch, d):
+    # at B = 4 the l1 bound fails on most pairs, so they take the scalar
+    # product; the memo of forms read at B = 128 is set aside
+    monkeypatch.setattr(verify, "_FORM_BITS", 4)
+    monkeypatch.setattr(verify, "_forms", weakref.WeakKeyDictionary())
+    test_assert_first_case_matches_discover_under_planted_faults(monkeypatch, d)
+
+
+def _record_form_verdicts(monkeypatch) -> list:
+    """Make verify's _forms_agree record each verdict in the returned list."""
+    verdicts = []
+    real = verify._forms_agree
+
+    def recording(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(verify, "_forms_agree", recording)
+    return verdicts
+
+
+@pytest.mark.parametrize("series, n", [("A", 3), ("C", 2), ("C", 3), ("C", 4),
+                                       ("C", 5), ("C", 6), ("D", 3), ("D", 4),
+                                       ("D", 5), ("D", 6)])
+def test_split_sum_decides_every_interval_alone(monkeypatch, series, n):
+    # on symbolic data every pair is decided on forms, and no passing
+    # interval reaches coproduct_formula
+    def no_fallback(*args, **kwargs):
+        pytest.fail("coproduct_formula ran on a passing interval")
+
+    monkeypatch.setattr(verify, "coproduct_formula", no_fallback)
+    agreed = _record_form_verdicts(monkeypatch)
+    d = make_datum(series, n)
+    for k in range(1, d.max_letter + 1):
+        for m in range(k, d.max_letter + 1):
+            assert verify._coproduct_case(d, k, m, "case") == verify.CaseResult("case", True)
+    assert agreed and all(x is True for x in agreed)
+
+
+def test_split_sum_multiplies_scalars_without_a_form(monkeypatch):
+    # rationals have no form, nor has a planted coefficient with two
+    # t-monomials: both take the scalar product
+    agreed = _record_form_verdicts(monkeypatch)
+    d4 = make_datum("D", 4, "numeric")
+    assert all(verify._split_sum_holds(d4, k, m)
+               for k in range(1, 8) for m in range(k, 8))
+    assert agreed and all(x is None for x in agreed)
+    real_coproduct = verify.braided_coproduct
+    pair = ((1, 2, 3, 4, 2), (1,))
+    t12 = LaurentPoly.t(D4.varset, 1, 2)
+
+    def with_t12(s, reduced=False):
+        t = real_coproduct(s, reduced)
+        if pair in t.terms:
+            t.terms[pair] = t.terms[pair] + t12
+        return t
+
+    monkeypatch.setattr(verify, "braided_coproduct", with_t12)
+    agreed.clear()
+    assert not verify._split_sum_holds(D4, 1, 7)
+    assert None in agreed
+    assert verify._coproduct_case(D4, 1, 7, "case") == _discover_case(D4, 1, 7, "case")
+
+
+def t_homogeneous(vs):
+    """Nonzero polynomials T q^e0 g(q) with one t-monomial T over ``vs``."""
+    return st.builds(
+        lambda t, qpoly: LaurentPoly(vs, {(e, *t): c for e, c in qpoly.items()}),
+        st.tuples(*[st.integers(-2, 2)] * (vs.nvars - 1)),
+        st.dictionaries(st.integers(-3, 3), st.sampled_from((-2, -1, 1, 2)),
+                        min_size=1, max_size=3))
+
+
+VS3 = VarSet(3)
+
+
+@given(t_homogeneous(VS3), t_homogeneous(VS3), t_homogeneous(VS3),
+       st.sampled_from(("none", "term", "collision", "q-shift", "t-shift")),
+       st.integers(-6, 6),
+       st.sampled_from((-2, -1, 1, 3)), st.sampled_from((4, 8, 128)))
+@settings(max_examples=300)
+def test_forms_never_answer_wrong(g, l, r, perturb, j, c, bits):
+    # a = g l r, or a perturbed by one term, by q^(j+1) - 2^B q^j, which
+    # vanishes at q = 2^B, or times q^j or t_1_2, which leave its value at
+    # 2^B; the forms decline exactly when the l1 bound fails
+    product = g * l * r
+    t = VS3.unpack(next(iter(product.terms)))[1:]
+    monomial = LaurentPoly(VS3, {(j, *t): 1})
+    a = {"none": product, "term": product + c * monomial,
+         "collision": product + monomial * (LaurentPoly.q(VS3) - 2 ** bits),
+         "q-shift": product * LaurentPoly.q(VS3, j),
+         "t-shift": product * LaurentPoly.t(VS3, 1, 2)}[perturb]
+    assume(a)
+    fg, fl, fr, fa = (kronecker_form(x, bits) for x in (g, l, r, a))
+    got = verify._forms_agree(verify._form_mul(fg, fl), fr, fa, bits)
+    assert (got is None) == (fg[2] * fl[2] * fr[2] + fa[2] >= 2 ** (bits - 1))
+    if got is not None:
+        assert got == (product == a)
+    assert verify._forms_agree(fg, fl, None, bits) is None
+
+
+def test_coproduct_memos_leave_the_datum_collectable():
+    # the memos of forms and of bracket scalars are weakly keyed by the
+    # datum, and none of their values refers back to it
+    gc.collect()
+    gc.disable()
+    try:
+        d = make_datum("D", 4)
+        alive = weakref.ref(d)
+        assert verify_coproducts(d).passed
+        del d
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_tau_table_vanishes_exactly_at_a_vanishing_split():
