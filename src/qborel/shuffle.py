@@ -31,6 +31,23 @@ C over the letter pairs of z, which depends only on the letters of z.
 Every partial sum at z carries the same positive factor, so terms cancel
 at the same steps, and one Fraction(c, L K(z)) per output term gives the
 same values, keys and dict order as the letter products over Fractions.
+
+Over a table p of monic monomials (every symbolic datum) a bracket runs on
+packed monomial keys (:func:`_keyed_bracket`).  Each weight w(sigma) is a
+monic monomial, whose key K is the sum of the keys of p(y, x)^{-1} over
+the crossed pairs, and factor q^E is the monomial of key fk + E, fk the
+factor's key, since q owns slot 0 of a key.  So an interleaving adds
+c q^K - c q^(K + fk + E), c = c_u c_v, and vanishes exactly when
+fk + E == 0; every step of the walk is an int addition, and the terms of
+each output word are summed in one int dict.  This is exact: the keys are
+those of the Laurent products the generic walk forms, and a key is the
+sum of c's key and of at most |u| |v| pair keys and energies plus fk, all
+bounded up front, so its slots stay below 2 EXP_LIMIT < 2^31 in absolute
+value and none wraps into the next; a result past EXP_LIMIT raises
+``ExponentOutOfRange`` as the Laurent walk does.  Where the pair keys and
+energies alone could pass EXP_LIMIT (a table p with huge exponents), over
+a rational table, and for a factor that is not a monic monomial, the
+generic walk runs.
 """
 
 from __future__ import annotations
@@ -43,7 +60,7 @@ from math import lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .coeffring import LinComb, add_terms
+from .coeffring import EXP_LIMIT, LaurentPoly, LinComb, _laurent, add_terms
 from .datum import QuantumDatum
 from .freeword import FreeElem, _bracket
 
@@ -151,7 +168,9 @@ def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
 
     The scalar 1 - factor q^E is computed once per distinct E, and an
     interleaving whose scalar is zero is skipped before its word is built:
-    E = 0 for the skew bracket and E = 1 for the double bracket.
+    E = 0 for the skew bracket and E = 1 for the double bracket.  Over a
+    table of monic monomials with factor None or a monic monomial, the
+    walk runs on packed keys instead (module docstring).
 
     The image of the skew bracket [u, v] is shuffle_bracket(eval(u),
     eval(v)), and that of the double bracket takes factor = q^{-1}.
@@ -160,10 +179,22 @@ def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
 
 
 _leaf_scalars: "weakref.WeakKeyDictionary[QuantumDatum, dict]" = weakref.WeakKeyDictionary()
+_key_tables: "weakref.WeakKeyDictionary[QuantumDatum, tuple]" = weakref.WeakKeyDictionary()
 
 
 def _one_pass_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
                       factor) -> ShuffleElem:
+    if datum._p_keys is not None:
+        if factor is None:
+            out = _keyed_bracket(datum, a.terms, b.terms, 0, 0)
+        elif (factor.__class__ is LaurentPoly and factor.vs is datum.varset
+              and len(factor.terms) == 1 and 1 in factor.terms.values()):
+            out = _keyed_bracket(datum, a.terms, b.terms, next(iter(factor.terms)),
+                                 factor._bound)
+        else:
+            out = None
+        if out is not None:
+            return ShuffleElem._fresh(out)
     by_factor = _leaf_scalars.setdefault(datum, {})
     scalars = by_factor.get(factor)
     if scalars is None:
@@ -185,6 +216,97 @@ class _LeafScalars(dict):
         qe = self.q ** e
         f = self[e] = self.one - (qe if self.factor is None else self.factor * qe)
         return f
+
+
+def _keyed_bracket(datum: QuantumDatum, a: dict, b: dict, fk: int, fbound: int):
+    """The terms of the bracket of :func:`shuffle_bracket` on packed keys
+    (module docstring), for the monic factor of key ``fk`` (0 for None)
+    and exponent bound ``fbound``; None where the keys and energies of
+    the pairs could pass EXP_LIMIT.  A leaf adds c = c_u c_v shifted by K
+    and -c shifted by K + fk + E into the int dict of its word, so every
+    exponent stays within max |c| + ``reach`` <= 2 EXP_LIMIT < 2^31.  As
+    in add_terms, a term or a word that cancels is dropped at once, which
+    keeps the words of a large bracket from piling up."""
+    rows, cols, energy, step = _tables(datum)
+    reach = max(map(len, a)) * max(map(len, b)) * step + fbound
+    if reach > EXP_LIMIT:
+        return None
+    vs, one = datum.varset, datum.one()
+    words: dict = {}
+    bound = 0
+    for u, cu in a.items():
+        for v, cv in b.items():
+            c = cu * cv
+            if c.__class__ is not LaurentPoly or c.vs is not vs:
+                c = one * c
+            bound = max(bound, c._bound)
+            terms = c.terms.items()
+            if len(v) <= len(u):
+                leaves = _keyed_leaves(u, v, rows, energy, fk, 0, 0)
+            else:
+                # as in _interleavings: reversed words, p transposed
+                leaves = ((z[::-1], k, j) for z, k, j in
+                          _keyed_leaves(v[::-1], u[::-1], cols, energy, fk, 0, 0))
+            for z, k, j in leaves:
+                d = words.get(z)
+                if d is None:
+                    d = words[z] = {}
+                for kc, ac in terms:
+                    x = kc + k
+                    s = d.get(x, 0) + ac
+                    if s:
+                        d[x] = s
+                    else:
+                        del d[x]
+                    x = kc + j
+                    s = d.get(x, 0) - ac
+                    if s:
+                        d[x] = s
+                    else:
+                        del d[x]
+                if not d:
+                    del words[z]
+    bound += reach
+    return {z: _laurent(vs, d, bound) for z, d in words.items()}
+
+
+def _keyed_leaves(base: tuple, ins: tuple, rows, energy, fk: int, k: int, e: int):
+    """(word, K, K + fk + E) for each placement of ins, in order, into base
+    with fk + E != 0, where K and E start at k and e and a letter y placed
+    before base[s:] adds rows[y][z] to K and energy[y][z] to E for each
+    letter z of base[s:] (the rule of :func:`_leaves`)."""
+    if not ins:
+        if fk + e:
+            yield base, k, k + fk + e
+        return
+    y, rest = ins[0], ins[1:]
+    row, brow = rows[y], energy[y]
+    for s in range(len(base), -1, -1):
+        if rest:
+            for tail, kt, jt in _keyed_leaves(base[s:], rest, rows, energy, fk, k, e):
+                yield base[:s] + (y,) + tail, kt, jt
+        elif fk + e:
+            yield base[:s] + (y,) + base[s:], k, k + fk + e
+        if s:
+            z = base[s - 1]
+            k += row[z]
+            e += brow[z]
+
+
+def _tables(datum: QuantumDatum) -> tuple:
+    """(rows, cols, energy, step) of a datum whose p is a table of monic
+    monomials, indexed by physical letters from 1: rows[y][z] the packed
+    key of p(y, z)^{-1}, cols its transpose, energy[y][z] = b(y, z), and
+    step a bound on the |exponent| one crossed pair adds to a key.  Built
+    once per datum; the tables hold ints only, not the datum."""
+    tables = _key_tables.get(datum)
+    if tables is None:
+        inv = [tuple(-k for k in row) for row in datum._p_keys]
+        rows, cols, energy = ((None,) + tuple((None,) + row for row in table)
+                              for table in (inv, zip(*inv), datum._b))
+        step = datum._p_bound + max(abs(x) for row in datum._b for x in row)
+        tables = _key_tables[datum] = (rows, cols, energy, step)
+    return tables
 
 
 def _interleavings(rows, a: dict, b: dict, scalars) -> dict:

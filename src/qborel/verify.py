@@ -41,7 +41,7 @@ from functools import partial, reduce
 from itertools import permutations
 from typing import NamedTuple
 
-from .coeffring import NonDivisible, add_terms, kronecker_form
+from .coeffring import EXP_LIMIT, NonDivisible, add_terms, kronecker_form
 from .datum import QuantumDatum, make_datum, sigma, sigma_closed_form
 from .freeword import FreeElem, left_nested, right_nested, skew_bracket
 from .pbwgen import generator_image, is_pbw_interval, pbw_generators, tau_table
@@ -391,6 +391,8 @@ def coproduct_formula(datum: QuantumDatum, k: int, m: int,
 
 
 _FORM_BITS = 128  # B: Kronecker forms are read at q = 2^B
+# per datum: the image forms, the gamma forms by tau, the interval words of
+# _split_keys and 1 - q^-1
 _forms: "weakref.WeakKeyDictionary[QuantumDatum, tuple]" = weakref.WeakKeyDictionary()
 
 
@@ -420,6 +422,35 @@ def _forms_agree(f, g, a, bits: int):
     return f[0] + g[0] == a[0] and f[1] + g[1] == a[1] and f[3] * g[3] == a[3]
 
 
+def _split_keys(datum: QuantumDatum, words: dict, k: int, m: int) -> dict:
+    """{i: the packed key of p(w(i+1,m), w(k,i))} for k <= i < m over a
+    table of monic monomials, without the splits whose key might pass
+    EXP_LIMIT; {} over any other table.
+
+    ``words`` memoises per interval (k, m) the physical indices of w(k,m)
+    and its column key sums col[a] = sum over b in w(k,m) of key(p_ab), so
+    each key is the sum of col over the letters of w(i+1,m).
+    """
+    if datum._p_keys is None:
+        return {}
+    out = {}
+    for i in range(k, m):
+        left, _ = words.get((i + 1, m)) or _interval_keys(datum, words, i + 1, m)
+        right, col = words.get((k, i)) or _interval_keys(datum, words, k, i)
+        if len(left) * len(right) * datum._p_bound <= EXP_LIMIT:
+            out[i] = sum(map(col.__getitem__, left))
+    return out
+
+
+def _interval_keys(datum: QuantumDatum, words: dict, k: int, m: int) -> tuple:
+    """(physical indices of w(k,m), its column key sums), memoised in
+    ``words``; see :func:`_split_keys`."""
+    idx = tuple(map(datum._index.__getitem__, datum.series_word(k, m)))
+    out = words[(k, m)] = (idx, tuple(sum(map(row.__getitem__, idx))
+                                      for row in datum._p_keys))
+    return out
+
+
 def _split_sum_holds(datum: QuantumDatum, k: int, m: int) -> bool:
     """Whether the split terms gamma_i cl cr of the tau table are exactly
     the reduced braided coproduct of v/e[k,m]: the verdict of
@@ -432,41 +463,48 @@ def _split_sum_holds(datum: QuantumDatum, k: int, m: int) -> bool:
     gamma_i cl cr; at the end every key must be reached.  Each product is
     compared on Kronecker forms (module docstring), with one big-integer
     product per pair: gamma_i's form is that of tau_i (1 - q^-1), memoised
-    per tau, shifted by the key of p(w(i+1,m), w(k,i)), and the forms of
-    the images are memoised per datum.  Where the forms do not decide, the
-    scalars are multiplied.
+    per tau, shifted by the packed key of the monic monomial
+    p(w(i+1,m), w(k,i)) (:func:`_split_keys`), and the forms of the images
+    are memoised per datum.  Where the forms do not decide, the scalars are
+    multiplied.
     """
     bits = _FORM_BITS
-    images, gammas = _forms.setdefault(datum, ({}, {}))
+    memo = _forms.get(datum)
+    if memo is None:
+        memo = _forms[datum] = ({}, {}, {}, datum.one() - datum.q_power(-1))
+    images, gammas, words, qfac = memo
     actual = braided_coproduct(generator_image(datum, k, m), reduced=True).terms
     whole = _image_forms(datum, images, k, m, bits)
-    qfac = datum.one() - datum.q_power(-1)
     reached = set()
+    split_keys = _split_keys(datum, words, k, m)
     for i, tau in tau_table(datum, k, m).items():
         if not tau:
             continue
-        p_lr = datum.p_words(datum.series_word(i + 1, m), datum.series_word(k, i))
         ft = gammas.get(tau, False)
         if ft is False:
             ft = gammas[tau] = kronecker_form(tau * qfac, bits)
-        fp = kronecker_form(p_lr, bits)
-        # p_lr is a monic monomial, so dividing by it only shifts the keys
-        fg = None if ft is None or fp is None else (
-            ft[0] - fp[0], ft[1] - fp[1], ft[2], ft[3])
+        key = split_keys.get(i)
+        fg = None
+        if ft is not None and key is not None:
+            # dividing by the monomial of that key shifts the form
+            e = ((key + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
+            fg = (ft[0] - (key - e), ft[1] - e, ft[2], ft[3])
         gamma = None
         right = _image_forms(datum, images, k, i, bits)
         for zl, (cl, fl) in _image_forms(datum, images, i + 1, m, bits).items():
             fgl = _form_mul(fg, fl)
             for zr, (cr, fr) in right.items():
-                a = actual.get((zl, zr))
-                if a is None or (zl, zr) in reached:
+                pair = (zl, zr)
+                a = actual.get(pair)
+                if a is None or pair in reached:
                     return False
-                reached.add((zl, zr))
+                reached.add(pair)
                 cz, fa = whole.get(zl + zr, (None, None))
                 same = _forms_agree(fgl, fr, fa if a is cz else kronecker_form(a, bits), bits)
                 if same is None:
                     if gamma is None:
-                        gamma = tau * qfac / p_lr
+                        gamma = tau * qfac / datum.p_words(datum.series_word(i + 1, m),
+                                                           datum.series_word(k, i))
                     same = gamma * cl * cr == a
                 if not same:
                     return False

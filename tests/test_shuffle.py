@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qborel import shuffle
-from qborel.datum import make_datum
+from qborel.coeffring import EXP_LIMIT, ExponentOutOfRange, LaurentPoly
+from qborel.datum import QuantumDatum, make_datum
 from qborel.freeword import (FreeElem, NonHomogeneousOperand, pbw_bracketing,
                              skew_bracket)
 from qborel.shuffle import (BraidedTensor, ShuffleElem, braided_coproduct,
@@ -419,7 +420,8 @@ def test_one_pass_bracket_skips_every_vanishing_energy():
 
 def test_leaf_scalars_are_computed_once_per_datum_and_factor(monkeypatch):
     # 1 - factor q^E is memoised per (datum, factor) across brackets, and
-    # its memo leaves the datum collectable
+    # its memo leaves the datum collectable; only data whose p is not a
+    # table of monic monomials walk these scalars, so the datum is numeric
     calls = []
     real = shuffle._LeafScalars.__missing__
 
@@ -431,7 +433,7 @@ def test_leaf_scalars_are_computed_once_per_datum_and_factor(monkeypatch):
     gc.collect()
     gc.disable()
     try:
-        d = make_datum("C", 3)
+        d = make_datum("C", 3, "numeric")
         alive = weakref.ref(d)
         for factor in (None, d.q_power(-1)):
             a, b = mono(d, (1,)), mono(d, (1, 2))
@@ -441,6 +443,152 @@ def test_leaf_scalars_are_computed_once_per_datum_and_factor(monkeypatch):
             assert len(calls) == seen
             shuffle_bracket(d, mono(d, (2,)), mono(d, (1, 2)), factor)
         assert calls and len(set(calls)) == len(calls)
+        del d, factor
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+# data whose p is a table of monic monomials, whose brackets run on packed
+# keys: symbolic C_3, D_4, A_3 and one-parameter C_3
+KEYED_DATA = {
+    **{f"{series}{n}": make_datum(series, n) for series, n in (("C", 3), ("D", 4), ("A", 3))},
+    "C3-one-parameter": make_datum("C", 3, "one-parameter"),
+}
+
+
+def generic_bracket(datum, a, b, factor):
+    """The bracket by the generic walk over Laurent scalars."""
+    return shuffle._interleavings(datum._p_inv, a.terms, b.terms,
+                                  shuffle._LeafScalars(datum, factor))
+
+
+def random_rearrangements(datum, data, unit):
+    """A sum of rearrangements of one word, or the unit, with coefficients
+    of one or several terms, some with a t-variable."""
+    if unit:
+        word = ()
+    else:
+        word = data.draw(st.lists(st.integers(1, datum.max_letter), min_size=1, max_size=4))
+        if data.draw(st.booleans()):
+            word.append(word[0])             # a repeated letter
+    q, t = datum.q_power(1), LaurentPoly.var(datum.varset, datum.varset.names[-1])
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        z = tuple(datum.physical(i) for i in data.draw(st.permutations(word)))
+        c = datum.integer(data.draw(st.sampled_from((-2, -1, 1, 3)))) * \
+            datum.q_power(data.draw(st.integers(-2, 2)))
+        c = c + data.draw(st.sampled_from((0, 1, q, -t * q)))
+        if c:
+            terms[z] = c
+    return ShuffleElem(terms) if terms else ShuffleElem.comonomial(datum, word)
+
+
+@given(st.sampled_from(sorted(KEYED_DATA)), st.sampled_from(("none", "q^-1", "0", "q+2")),
+       st.sampled_from(((False, False), (True, False), (False, True), (True, True))),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_keyed_bracket_is_the_generic_walk(name, factor_name, units, data):
+    # multi-term operands with repeated letters and unit operands on either
+    # side and on both; 0 and q+2 are not monic monomials and take the
+    # generic walk, the other factors the packed keys
+    datum = KEYED_DATA[name]
+    factor = {"none": None, "q^-1": datum.q_power(-1), "0": 0,
+              "q+2": datum.q_power(1) + 2}[factor_name]
+    a = random_rearrangements(datum, data, units[0])
+    b = random_rearrangements(datum, data, units[1])
+    got = shuffle_bracket(datum, a, b, factor)
+    assert got.terms == generic_bracket(datum, a, b, factor)
+    assert all(got.terms.values())
+
+
+def test_keyed_bracket_takes_only_monic_factors(monkeypatch):
+    keyed = []
+    real = shuffle._keyed_bracket
+    monkeypatch.setattr(shuffle, "_keyed_bracket",
+                        lambda datum, *rest: keyed.append(datum) or real(datum, *rest))
+    numeric = make_datum("C", 3, "numeric")
+    for datum in (C3, numeric):
+        for factor in (None, datum.q_power(-1), datum.q_power(2), 0, 2 * datum.q_power(1),
+                       datum.q_power(1) + 1, -datum.one()):
+            keyed.clear()
+            got = shuffle_bracket(datum, mono(datum, (1, 2)), mono(datum, (2,)), factor)
+            monic = datum is C3 and factor in (None, C3.q_power(-1), C3.q_power(2))
+            assert keyed == ([datum] if monic else [])
+            assert got == two_product_bracket(datum, mono(datum, (1, 2)), mono(datum, (2,)),
+                                              factor)
+
+
+@pytest.mark.parametrize("coeff,left,right", [
+    ("q", (1,), (1,)),          # q^L q^-1 (1 - q^2): q^(L+1)
+    ("t", (1,), (2,)),          # t^L p(2, 1)^-1 = q t^(L+1)
+    ("t-", (2,), (1,)),         # t^-L p(1, 2)^-1 = t^-(L+1)
+], ids=["q-slot", "t-slot", "t-slot-negative"])
+def test_keyed_bracket_guards_the_exponent_range(coeff, left, right):
+    # a coefficient at the edge of the exponent range: the keyed walk must
+    # raise as the Laurent walk does, never return a key wrapped into the
+    # next slot; one step inside the range the keys unpack to the exponents
+    vs = C3.varset
+    edge = {"q": LaurentPoly.q(vs, EXP_LIMIT), "t": LaurentPoly.t(vs, 1, 2, EXP_LIMIT),
+            "t-": LaurentPoly.t(vs, 1, 2, -EXP_LIMIT)}[coeff]
+    a, b = mono(C3, left, edge), mono(C3, right)
+    with pytest.raises(ExponentOutOfRange):
+        generic_bracket(C3, a, b, None)
+    with pytest.raises(ExponentOutOfRange):
+        shuffle._keyed_bracket(C3, a.terms, b.terms, 0, 0)
+    with pytest.raises(ExponentOutOfRange):
+        shuffle_bracket(C3, a, b)
+    inside = mono(C3, left, edge * (C3.q_power(-2) if coeff == "q" else
+                                    LaurentPoly.t(vs, 1, 2, -1 if coeff == "t" else 1)))
+    got = shuffle_bracket(C3, inside, b)
+    assert got.terms == generic_bracket(C3, inside, b, None)
+    for c in got.terms.values():
+        for key in c.terms:
+            assert max(map(abs, vs.unpack(key))) <= EXP_LIMIT
+            assert vs.pack(vs.unpack(key)) == key
+
+
+def test_keyed_bracket_falls_back_where_keys_could_wrap():
+    # with t_12 raised to 2^28 the bound on the keys of a two-by-two bracket
+    # passes EXP_LIMIT, so the generic walk computes it
+    n = 2 ** 28
+    vs = C2.varset
+    t = LaurentPoly.t(vs, 1, 2, n)
+    p = ((C2.p[0][0], t), (C2.q_power(-2) / t, C2.p[1][1]))
+    big = QuantumDatum("C", 2, "multiparameter", C2.cartan, C2.d, vs, None, p, C2.q)
+    a, b = mono(big, (1, 2)), mono(big, (2, 1), C2.q_power(1))
+    assert shuffle._keyed_bracket(big, a.terms, b.terms, 0, 0) is None
+    got = shuffle_bracket(big, a, b)
+    assert got and got.terms == generic_bracket(big, a, b, None)
+    # one-letter operands stay on the keys
+    assert shuffle._keyed_bracket(big, a.terms, {(2,): big.one()}, 0, 0) == \
+        generic_bracket(big, a, mono(big, (2,)), None)
+
+
+def test_key_tables_are_built_once_per_datum(monkeypatch):
+    # the packed-key tables are memoised per datum, hold no reference to
+    # it, and leave it collectable
+    built = []
+    real = shuffle._tables
+
+    def spy(datum):
+        if datum not in shuffle._key_tables:
+            built.append(datum.series)
+        return real(datum)
+
+    monkeypatch.setattr(shuffle, "_tables", spy)
+    gc.collect()
+    gc.disable()
+    try:
+        d = make_datum("C", 3)
+        alive = weakref.ref(d)
+        for factor in (None, d.q_power(-1)):
+            shuffle_bracket(d, mono(d, (1,)), mono(d, (1, 2)), factor)
+            shuffle_bracket(d, mono(d, (2,)), mono(d, (1, 2)), factor)
+        assert built == ["C"]
+        rows, cols, energy, step = shuffle._key_tables[d]
+        assert all(type(x) is int for table in (rows, cols, energy)
+                   for row in table[1:] for x in row[1:])
         del d, factor
         assert alive() is None
     finally:

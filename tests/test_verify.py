@@ -12,7 +12,7 @@ from itertools import product
 
 from qborel import cli, verify
 from qborel.coeffring import LaurentPoly, NonDivisible, VarSet, add_terms, kronecker_form
-from qborel.datum import make_datum
+from qborel.datum import QuantumDatum, make_datum
 from qborel.pbwgen import generator_image, pbw_generators, tau_table
 from qborel.freeword import skew_bracket
 from qborel.shuffle import BraidedTensor, ShuffleElem, comonomial_str, shuffle_mul
@@ -354,6 +354,45 @@ def test_forms_never_answer_wrong(g, l, r, perturb, j, c, bits):
     if got is not None:
         assert got == (product == a)
     assert verify._forms_agree(fg, fl, None, bits) is None
+
+
+@pytest.mark.parametrize("series, n, mode", [("C", 4, "multiparameter"), ("D", 4, "multiparameter"),
+                                             ("A", 3, "multiparameter"), ("C", 3, "one-parameter"),
+                                             ("D", 4, "numeric")])
+def test_split_keys_are_the_keys_of_p_words(series, n, mode):
+    # the memoised column sums give the packed key of the monic monomial
+    # p(w(i+1,m), w(k,i)) for every split; rationals have no key
+    d = make_datum(series, n, mode)
+    words = {}
+    for k in range(1, d.max_letter + 1):
+        for m in range(k, d.max_letter + 1):
+            got = verify._split_keys(d, words, k, m)
+            if mode == "numeric":
+                assert got == {}
+                continue
+            assert sorted(got) == list(range(k, m))
+            for i, key in got.items():
+                p = d.p_words(d.series_word(i + 1, m), d.series_word(k, i))
+                assert p.terms == {key: 1}
+    assert bool(words) == (mode != "numeric")
+
+
+def test_split_keys_decline_past_the_exponent_range():
+    # with p_12 = t_1_2^(2^28) a split of 4 letter pairs or more may sum
+    # past EXP_LIMIT, so it has no key and the scalars are multiplied
+    c3 = make_datum("C", 3)
+    t = LaurentPoly.t(c3.varset, 1, 2, 2 ** 28)
+    p = [list(row) for row in c3.p]
+    p[0][1], p[1][0] = t, c3.q_power(-1) / t
+    big = QuantumDatum("C", 3, "multiparameter", c3.cartan, c3.d, c3.varset, None,
+                       tuple(map(tuple, p)), c3.q)
+    # every split of v[1,5] has 4 or 6 letter pairs; v[1,4] splits into
+    # 3 + 1, 2 + 2 and 1 + 3 letters
+    assert verify._split_keys(big, {}, 1, 5) == {}
+    assert set(verify._split_keys(big, {}, 1, 4)) == {1, 3}
+    for k, m in ((2, 3), (1, 3), (1, 4)):
+        for i, key in verify._split_keys(big, {}, k, m).items():
+            assert big.p_words(big.series_word(i + 1, m), big.series_word(k, i)).terms == {key: 1}
 
 
 def test_coproduct_memos_leave_the_datum_collectable():
