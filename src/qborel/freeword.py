@@ -99,11 +99,13 @@ def _bracket(datum: QuantumDatum, u: LinComb, v: LinComb, factor, body) -> LinCo
 
 def _two_products(datum: QuantumDatum, u: FreeElem, v: FreeElem, factor) -> FreeElem:
     """u v - factor p(u, v) v u by two concatenation products; p is read
-    off one word of each operand."""
+    off one word of each operand, and -factor p scales u before v u is
+    formed, so the difference is one merge with the values and the key
+    order of u * v - (v * u).scale(factor p)."""
     p = datum.p_words(next(iter(u.terms)), next(iter(v.terms)))
     if factor is not None:
         p = factor * p
-    return u * v - (v * u).scale(p)
+    return FreeElem._fresh(add_terms((u * v).terms, (v * u.scale(-p)).terms.items()))
 
 
 def skew_bracket(datum: QuantumDatum, u: FreeElem, v: FreeElem,

@@ -48,6 +48,19 @@ value and none wraps into the next; a result past EXP_LIMIT raises
 energies alone could pass EXP_LIMIT (a table p with huge exponents), over
 a rational table, and for a factor that is not a monic monomial, the
 generic walk runs.
+
+The evaluation runs on the same keys over such a table
+(:func:`_keyed_eval`).  Each coefficient is one {packed key: int} dict,
+and placing x before z[s:] shifts every key of z's coefficient by the sum
+of the keys of p(x, y)^{-1} over the letters y of z[s:]: the key of the
+weight the letter product multiplies by.  The walk keeps the grouping,
+the merges and the cancellations of the Laurent walk step for step, so
+the values, the words and their order are the same, and each output word
+becomes one LaurentPoly.  A key of the image is the key of an input
+coefficient shifted by at most L L step, L the longest word, so with
+that bound checked up front no slot passes EXP_LIMIT; where it could, or
+where a coefficient is not a LaurentPoly over the datum's variables, the
+Laurent walk runs.
 """
 
 from __future__ import annotations
@@ -393,8 +406,13 @@ def eval_free(datum: QuantumDatum, f: FreeElem) -> ShuffleElem:
     merged into one canonical sum before the letter product, so terms
     cancel early instead of after every word is shuffled out on its own.
     Over rational data the walk runs on the cleared int tables of the
-    module docstring, and each output term is divided by L K(z) once.
+    module docstring, and each output term is divided by L K(z) once;
+    over a table of monic monomials it runs on packed keys.
     """
+    if datum._p_keys is not None:
+        out = _keyed_eval(datum, f.terms)
+        if out is not None:
+            return ShuffleElem._fresh(out)
     if not isinstance(datum.q, Fraction):
         return ShuffleElem._fresh(_eval_terms(datum, f.terms, None))
     tables = _cleared_tables(datum)
@@ -429,6 +447,84 @@ def _eval_terms(datum: QuantumDatum, terms: dict, tables) -> dict:
                 img = _letter_terms(img, x, tails[x], cross[x])
             add_terms(out, img.items())
     return out
+
+
+def _keyed_eval(datum: QuantumDatum, terms: dict):
+    """The terms of the image of the sum with the given terms on packed
+    keys (module docstring); None where a coefficient is not a LaurentPoly
+    over the datum's variables or the keys could pass EXP_LIMIT."""
+    vs = datum.varset
+    bound = longest = 0
+    for w, c in terms.items():
+        if c.__class__ is not LaurentPoly or c.vs is not vs:
+            return None
+        if c._bound > bound:
+            bound = c._bound
+        if len(w) > longest:
+            longest = len(w)
+    rows, _, _, step = _tables(datum)
+    bound += longest * longest * step
+    if bound > EXP_LIMIT:
+        return None
+    out = _keyed_terms(datum.physical, rows, {w: c.terms for w, c in terms.items()})
+    return {z: _laurent(vs, d, bound) for z, d in out.items()}
+
+
+def _keyed_terms(physical, rows, terms: dict) -> dict:
+    """:func:`_eval_terms` on {key: int} coefficients, with rows[x][y] the
+    key of p(x, y)^{-1}.  The dicts of ``terms`` are only read, and those
+    of the result are fresh but for the empty word's."""
+    out = {(): terms[()]} if () in terms else {}
+    groups: dict = {}
+    for w, d in terms.items():
+        if w:
+            group, prefix = groups.setdefault(physical(w[-1]), {}), w[:-1]
+            cur = group.get(prefix)
+            if cur is None:
+                group[prefix] = d
+            elif cur := _add_keyed(dict(cur), d, 0):
+                group[prefix] = cur
+            else:
+                del group[prefix]
+    for x, prefixes in groups.items():
+        if prefixes:
+            # the letter product, merged into a dict of its own first as
+            # the Laurent walk merges it, so words cancel at the same steps
+            row, img = rows[x], {}
+            for z, d in _keyed_terms(physical, rows, prefixes).items():
+                k = 0
+                for s in range(len(z), -1, -1):
+                    word = z[:s] + (x,) + z[s:]
+                    cur = img.get(word)
+                    if cur is None:
+                        img[word] = {kc + k: a for kc, a in d.items()}
+                    elif not _add_keyed(cur, d, k):
+                        del img[word]
+                    if s:
+                        k += row[z[s - 1]]
+            if not out:
+                out = img
+                continue
+            for word, d in img.items():
+                cur = out.get(word)
+                if cur is None:
+                    out[word] = d
+                elif not _add_keyed(cur, d, 0):
+                    del out[word]
+    return out
+
+
+def _add_keyed(d: dict, terms: dict, k: int) -> dict:
+    """Adds the {key: int} ``terms``, every key shifted by k, into d in
+    place, dropping a key that cancels; returns d."""
+    for kc, a in terms.items():
+        x = kc + k
+        s = d.get(x, 0) + a
+        if s:
+            d[x] = s
+        else:
+            del d[x]
+    return d
 
 
 _cleared: "weakref.WeakKeyDictionary[QuantumDatum, tuple]" = weakref.WeakKeyDictionary()

@@ -127,6 +127,47 @@ def test_ad_identities(wu, wv, ww):
         skew_bracket(d, u, v) * w + (v * skew_bracket(d, u, w)).scale(p_uv)
 
 
+# multiparameter, one-parameter and numeric data
+BRACKET_DATA = {
+    "C3": C3, "D4": D4, "C3-one-parameter": make_datum("C", 3, "one-parameter"),
+    "C3-numeric": make_datum("C", 3, "numeric"),
+}
+
+
+def rearrangements(datum, data):
+    """A sum of rearrangements of one word, coefficients of one or two terms."""
+    word = data.draw(words(datum.max_letter, 4))
+    f = FreeElem.zero()
+    for _ in range(data.draw(st.integers(1, 3))):
+        c = datum.integer(data.draw(st.sampled_from((-2, -1, 1, 3)))) * \
+            datum.q_power(data.draw(st.integers(-2, 2)))
+        c = c + data.draw(st.sampled_from((0, 1, datum.q_power(1))))
+        f = f + FreeElem.word(data.draw(st.permutations(word)), c)
+    return f
+
+
+@given(st.sampled_from(sorted(BRACKET_DATA)), st.sampled_from(("none", "q^-1", "0")),
+       st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_skew_bracket_is_the_two_product_difference(name, factor_name, same, data):
+    # u v - factor p(u, v) v u as two products, a scaled copy and a
+    # difference: the same values and keys, in the same order; u = v makes
+    # the two products share their words
+    datum = BRACKET_DATA[name]
+    factor = {"none": None, "q^-1": datum.q_power(-1), "0": 0}[factor_name]
+    u = rearrangements(datum, data)
+    v = u if same else rearrangements(datum, data)
+    if not u or not v:
+        return
+    p = datum.p_words(next(iter(u.terms)), next(iter(v.terms)))
+    if factor is not None:
+        p = factor * p
+    want = u * v - (v * u).scale(p)
+    got = skew_bracket(datum, u, v, factor)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(got.terms.values())
+
+
 def test_word_order():
     # x_1 > x_2 > ... and a proper beginning is greater than the word
     assert word_greater((1,), (2,))

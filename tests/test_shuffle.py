@@ -565,6 +565,85 @@ def test_keyed_bracket_falls_back_where_keys_could_wrap():
         generic_bracket(big, a, mono(big, (2,)), None)
 
 
+@given(st.sampled_from(sorted(KEYED_DATA)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_keyed_eval_free_is_the_laurent_walk(name, data):
+    # sums that mix multidegrees, with folded twins, multi-term
+    # coefficients, pairs of opposite sign whose last letters are folded
+    # twins, so their prefixes cancel before the letter product, and at
+    # times the empty word: the values are those of the word-by-word
+    # reference, and the terms come in the order of the Laurent walk
+    datum = KEYED_DATA[name]
+    q, t = datum.q_power(1), LaurentPoly.var(datum.varset, datum.varset.names[-1])
+    f = random_free(datum, data, max_len=4, max_terms=6)
+    for _ in range(data.draw(st.integers(0, 3))):
+        word = tuple(data.draw(st.lists(st.integers(1, datum.max_letter),
+                                        min_size=1, max_size=4)))
+        c = datum.integer(data.draw(st.sampled_from((-2, 1, 3)))) * \
+            datum.q_power(data.draw(st.integers(-2, 2))) + data.draw(st.sampled_from((1, q, -t * q)))
+        f = f + FreeElem.word(word, c)
+        if datum.series != "A" and data.draw(st.booleans()):
+            f = f - FreeElem.word(word[:-1] + (2 * datum.n - word[-1],), c)
+    if data.draw(st.booleans()):
+        f = f + FreeElem.word((), q - t)
+    keyed = shuffle._keyed_eval(datum, f.terms)
+    assert keyed is not None
+    assert list(keyed.items()) == list(shuffle._eval_terms(datum, f.terms, None).items())
+    got = eval_free(datum, f)
+    assert got.terms == keyed and all(got.terms.values())
+    assert got == eval_by_words(datum, f)
+
+
+def test_keyed_eval_free_merges_each_letter_product_whole():
+    # the Serre relation [[x1, x2], x2] of C_2 without its word x1 x2 x2:
+    # part way through the letter product of the group ending in x2, the
+    # word (x2 x1 x2) that the group ending in x1 left cancels, and the
+    # rest of that product restores it; summed as a whole first, as in the
+    # Laurent walk, the product leaves the word in its place
+    q, t = C2.q_power(1), LaurentPoly.t(C2.varset, 1, 2)
+    f = FreeElem({(2, 2, 1): q ** 2 * t ** 2, (2, 1, 2): -(q ** 2 + C2.one()) * t})
+    got = eval_free(C2, f)
+    assert list(got.terms) == [(2, 2, 1), (2, 1, 2), (1, 2, 2)]
+    assert list(got.terms.items()) == list(shuffle._eval_terms(C2, f.terms, None).items())
+
+
+def test_keyed_eval_free_falls_back_past_the_exponent_range():
+    # with t_12 raised to 2^28 the keys of a two-letter word could pass
+    # EXP_LIMIT, so the Laurent walk evaluates: to the same image where the
+    # exponents stay in range, to the same ExponentOutOfRange where placing
+    # x2 before x1, of weight q^2 t_12^(2^28), leaves it
+    n = 2 ** 28
+    vs = C2.varset
+    t = LaurentPoly.t(vs, 1, 2, n)
+    p = ((C2.p[0][0], t), (C2.q_power(-2) / t, C2.p[1][1]))
+    big = QuantumDatum("C", 2, "multiparameter", C2.cartan, C2.d, vs, None, p, C2.q)
+    f = FreeElem({(1, 2): big.one(), (2, 1, 2): big.q_power(1), (): big.integer(2)})
+    assert shuffle._keyed_eval(big, f.terms) is None
+    got = eval_free(big, f)
+    assert got and list(got.terms.items()) == \
+        list(shuffle._eval_terms(big, f.terms, None).items())
+    assert got == eval_by_words(big, f)
+    edge = FreeElem({(1, 2): LaurentPoly.t(vs, 1, 2, EXP_LIMIT - n // 2)})
+    with pytest.raises(ExponentOutOfRange):
+        shuffle._eval_terms(big, edge.terms, None)
+    with pytest.raises(ExponentOutOfRange):
+        eval_free(big, edge)
+    # one-letter words stay on the keys
+    one = FreeElem({(1,): t, (2,): big.q_power(-1)})
+    assert shuffle._keyed_eval(big, one.terms) == shuffle._eval_terms(big, one.terms, None)
+
+
+def test_keyed_eval_free_takes_only_laurent_coefficients():
+    # a coefficient that is not a LaurentPoly over the datum's own
+    # variables sends the sum to the Laurent walk
+    other = make_datum("C", 4)
+    for coeff in (2, other.q_power(1)):
+        f = FreeElem({(1, 2): C3.q_power(1), (2, 1): coeff})
+        assert shuffle._keyed_eval(C3, f.terms) is None
+    f = FreeElem({(1, 2): C3.q_power(1), (2, 1): 2})
+    assert eval_free(C3, f).terms == shuffle._eval_terms(C3, f.terms, None)
+
+
 def test_key_tables_are_built_once_per_datum(monkeypatch):
     # the packed-key tables are memoised per datum, hold no reference to
     # it, and leave it collectable

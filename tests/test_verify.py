@@ -812,6 +812,66 @@ def test_identity_suite_witnesses_a_broken_p_on_numeric_data(monkeypatch, series
     assert [c.witness for c in report.cases] == _BROKEN_P_WITNESSES[f"{series}{n}"]
 
 
+# Witnesses at seed 5 over the generic datum when every p(u, v) the
+# identities read is scaled by q (a unit, as p must stay); the draws are
+# those of the numeric table above, with Laurent coefficients
+_BROKEN_P_SYMBOLIC_WITNESSES = {
+    "C3": [
+        "instance 0: u=<FreeElem (-3)*x3*x3*x5> v=<FreeElem (-2*q^-1)*x1> "
+        "w=<FreeElem (-3*q)*x2*x4 + (q)*x4*x2>",
+        "instance 0: u=<FreeElem (-q^-1)*x4> v=<FreeElem (-2*q)*x2*x1>",
+        None,
+        "instance 0: u=<FreeElem (-3*q^-1)*x1> v=<FreeElem (-3)*x3> w=<FreeElem "
+        "(-2*q)*x4>: at (x2 x1 x3): (-18*q+18+18*q^-1-18*q^-2)*t_1_2*t_2_3^-1 "
+        "!= (absent)",
+        "instance 0: u=<FreeElem (1)*x4> v=<FreeElem (-3+2*q^-1)*x5*x1> "
+        "w=<FreeElem (-3*q)*x3*x4>",
+        "instance 0: u=<FreeElem (4)*x1*x5> v=<FreeElem (q)*x2*x4> "
+        "w=<FreeElem (-2*q-2*q^-1)*x4*x2>",
+    ],
+    "D4": [
+        "instance 0: u=<FreeElem (3*q)*x3*x6*x3> v=<FreeElem (-2*q)*x1*x7*x4 + "
+        "(-1)*x7*x4*x1> w=<FreeElem (2*q^-1)*x4>",
+        "instance 0: u=<FreeElem (-2)*x2*x1*x6 + (-3*q^-1)*x6*x2*x1> "
+        "v=<FreeElem (-2*q^-1)*x5*x4*x2>",
+        None,
+        "instance 1: u=<FreeElem (1)*x2> v=<FreeElem (q^-1*t_1_2^-1)*x1*x2 + "
+        "(-1)*x2*x1> w=<FreeElem (-2*q^-1)*x5*x1*x5>: at (x1 x1 x2 x2 x3 x3): "
+        "(absent) != (-2*q-2+6*q^-1+6*q^-2-6*q^-3-6*q^-4+2*q^-5+2*q^-6)"
+        "*t_1_2^-4*t_1_3^-1",
+        "instance 0: u=<FreeElem (1)*x1*x3> v=<FreeElem (2)*x6> w=<FreeElem "
+        "(2)*x5>",
+        "instance 0: u=<FreeElem (2*q)*x3> v=<FreeElem (-q^-1)*x5*x3> "
+        "w=<FreeElem (q)*x5>",
+    ],
+}
+
+
+@pytest.mark.parametrize("d", [C3, D4], ids=["C3", "D4"])
+def test_identity_suite_witnesses_a_broken_p_on_symbolic_data(monkeypatch, d):
+    real = verify._p_of
+    monkeypatch.setattr(verify, "_p_of",
+                        lambda datum, u, v: datum.q_power(1) * real(datum, u, v))
+    report = verify_identity_suite(d, seed=5, count=20)
+    assert [c.witness for c in report.cases] == \
+        _BROKEN_P_SYMBOLIC_WITNESSES[f"{d.series}{d.n}"]
+
+
+def test_serre_suite_witnesses_planted_images_on_symbolic_data(monkeypatch):
+    monkeypatch.setattr(verify, "skew_bracket", _bracket_with_factor_q)
+    report = verify_serre(C2)
+    assert [(c.name, c.witness) for c in report.cases] == [
+        ("[[x1,x2],x2]", "image (-q^3+q^2+q-1)*t_1_2 * (x2 x1 x2) + "
+         "(-q^5+q^4+q-1)*t_1_2^2 * (x2 x2 x1)"),
+        ("[x2,[x2,x1]]", "image (-q+1+q^-3-q^-4)*t_1_2^-2 * (x1 x2 x2) + "
+         "(-q+1+q^-1-q^-2)*t_1_2^-1 * (x2 x1 x2)"),
+        ("[[[x2,x1],x1],x1]", "image (-q+2*q^-1+q^-2-q^-3-2*q^-4+q^-6)*t_1_2^-3 "
+         "* (x1 x1 x1 x2) + (-q+1+2*q^-1-2*q^-2-q^-3+q^-4)*t_1_2^-2 * (x1 x1 x2 x1)"),
+        ("[x1,[x1,[x1,x2]]]", "image (-q^5+q^4+2*q^3-2*q^2-q+1)*t_1_2^2 * "
+         "(x1 x2 x1 x1) + (-q^7+2*q^5+q^4-q^3-2*q^2+1)*t_1_2^3 * (x2 x1 x1 x1)"),
+    ]
+
+
 def test_serre_suite_witnesses_planted_images_on_numeric_data(monkeypatch):
     monkeypatch.setattr(verify, "skew_bracket", _bracket_with_factor_q)
     report = verify_serre(make_datum("C", 2, "numeric"))
