@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffring import (EXP_LIMIT, LaurentPoly, MissingAssignment, VarSet,
-                        ZeroAssignment, _laurent)
+from .coeffring import (EXP_LIMIT, ExponentOutOfRange, LaurentPoly,
+                        MissingAssignment, VarSet, ZeroAssignment, _laurent)
 
 SERIES = ("A", "C", "D")
 MODES = ("multiparameter", "one-parameter", "numeric")
@@ -107,12 +107,12 @@ class QuantumDatum:
         # slot 0 is no letter
         self._index = (None,) + tuple((i if i <= n else 2 * n - i) - 1
                                       for i in range(1, self.max_letter + 1))
-        # the packed keys of p when every entry is a monomial with
-        # coefficient 1 (the Laurent tables of make_datum), else None
-        self._p_keys = self._p_bound = None
-        # the numerators and denominators of p when every entry is a
-        # Fraction (the numeric tables of make_datum), else None
-        self._p_fracs = None
+        # the kind of the datum, decided here once: the packed keys of p
+        # when every entry is a monomial with coefficient 1 (the Laurent
+        # tables of make_datum), or the numerators and denominators of p
+        # when every entry is a Fraction (the numeric tables); the other
+        # stays None, and any other table is refused
+        self._p_keys = self._p_bound = self._p_fracs = None
         if all(isinstance(x, LaurentPoly) and list(x.terms.values()) == [1]
                for row in p for x in row):
             self._p_keys = tuple(tuple(next(iter(x.terms)) for x in row) for row in p)
@@ -120,6 +120,9 @@ class QuantumDatum:
         elif all(isinstance(x, Fraction) for row in p for x in row):
             self._p_fracs = (tuple(tuple(x.numerator for x in row) for row in p),
                              tuple(tuple(x.denominator for x in row) for row in p))
+        else:
+            raise ValueError("p must be a table of monic Laurent monomials "
+                             "or a table of Fractions")
         # exponent -> q ** exponent, filled on first use
         self._q_pow = {}
         self._one = q ** 0
@@ -192,32 +195,27 @@ class QuantumDatum:
         bicharacter product.  It depends only on the multidegrees.
 
         Over a table of monic monomials the packed keys of the pairs are
-        summed into one monomial; over a rational table the numerators and
-        the denominators are multiplied as ints into one Fraction; other
-        scalars are multiplied pair by pair.
+        summed into one monomial, and ExponentOutOfRange is raised where
+        that sum could pass EXP_LIMIT; over a rational table the numerators
+        and the denominators are multiplied as ints into one Fraction.
         """
         rows, cols = self._indices(u), self._indices(v)
         keys = self._p_keys
         if keys is not None:
             bound = len(rows) * len(cols) * self._p_bound
-            if bound <= EXP_LIMIT:
-                key = sum(sum(map(keys[i].__getitem__, cols)) for i in rows)
-                return _laurent(self.varset, {key: 1}, bound)
-        if self._p_fracs is not None:
-            nums, dens = self._p_fracs
-            num = den = 1
-            for i in rows:
-                nrow, drow = nums[i], dens[i]
-                for j in cols:
-                    num *= nrow[j]
-                    den *= drow[j]
-            return Fraction(num, den)
-        out = self._one
+            if bound > EXP_LIMIT:
+                raise ExponentOutOfRange(f"p(u, v) may reach exponent {bound}, "
+                                         f"past +-{EXP_LIMIT}")
+            key = sum(sum(map(keys[i].__getitem__, cols)) for i in rows)
+            return _laurent(self.varset, {key: 1}, bound)
+        nums, dens = self._p_fracs
+        num = den = 1
         for i in rows:
-            row = self.p[i]
+            nrow, drow = nums[i], dens[i]
             for j in cols:
-                out = out * row[j]
-        return out
+                num *= nrow[j]
+                den *= drow[j]
+        return Fraction(num, den)
 
     def multidegree(self, letters: Sequence[int]) -> tuple:
         index = self._index

@@ -44,23 +44,24 @@ those of the Laurent products the generic walk forms, and a key is the
 sum of c's key and of at most |u| |v| pair keys and energies plus fk, all
 bounded up front, so its slots stay below 2 EXP_LIMIT < 2^31 in absolute
 value and none wraps into the next; a result past EXP_LIMIT raises
-``ExponentOutOfRange`` as the Laurent walk does.  Where the pair keys and
-energies alone could pass EXP_LIMIT (a table p with huge exponents), over
-a rational table, and for a factor that is not a monic monomial, the
-generic walk runs.
+``ExponentOutOfRange`` as a Laurent product does, and so does the walk
+itself where the pair keys and energies alone could pass EXP_LIMIT (a
+table p with huge exponents, which make_datum never builds).  A factor
+that is not a monic monomial takes the generic walk over the scalars, as
+every bracket over a rational table does.
 
 The evaluation runs on the same keys over such a table
 (:func:`_keyed_eval`).  Each coefficient is one {packed key: int} dict,
 and placing x before z[s:] shifts every key of z's coefficient by the sum
 of the keys of p(x, y)^{-1} over the letters y of z[s:]: the key of the
 weight the letter product multiplies by.  The walk keeps the grouping,
-the merges and the cancellations of the Laurent walk step for step, so
-the values, the words and their order are the same, and each output word
-becomes one LaurentPoly.  A key of the image is the key of an input
-coefficient shifted by at most L L step, L the longest word, so with
-that bound checked up front no slot passes EXP_LIMIT; where it could, or
-where a coefficient is not a LaurentPoly over the datum's variables, the
-Laurent walk runs.
+the merges and the cancellations of the letter products over
+LaurentPolys step for step, so the values, the words and their order are
+the same, and each output word becomes one LaurentPoly.  An int
+coefficient is taken into the ring first.  A key of the image is the key
+of an input coefficient shifted by at most L L step, L the longest word,
+so with that bound checked up front no slot passes EXP_LIMIT; where it
+could, the walk raises ``ExponentOutOfRange``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ from math import lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .coeffring import EXP_LIMIT, LaurentPoly, LinComb, _laurent, add_terms
+from .coeffring import (EXP_LIMIT, ExponentOutOfRange, LaurentPoly, LinComb, _laurent,
+                        add_terms)
 from .datum import QuantumDatum
 from .freeword import FreeElem, _bracket
 
@@ -199,15 +201,11 @@ def _one_pass_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
                       factor) -> ShuffleElem:
     if datum._p_keys is not None:
         if factor is None:
-            out = _keyed_bracket(datum, a.terms, b.terms, 0, 0)
-        elif (factor.__class__ is LaurentPoly and factor.vs is datum.varset
-              and len(factor.terms) == 1 and 1 in factor.terms.values()):
-            out = _keyed_bracket(datum, a.terms, b.terms, next(iter(factor.terms)),
-                                 factor._bound)
-        else:
-            out = None
-        if out is not None:
-            return ShuffleElem._fresh(out)
+            return ShuffleElem._fresh(_keyed_bracket(datum, a.terms, b.terms, 0, 0))
+        if (factor.__class__ is LaurentPoly and factor.vs is datum.varset
+                and len(factor.terms) == 1 and 1 in factor.terms.values()):
+            return ShuffleElem._fresh(_keyed_bracket(datum, a.terms, b.terms,
+                                                     next(iter(factor.terms)), factor._bound))
     by_factor = _leaf_scalars.setdefault(datum, {})
     scalars = by_factor.get(factor)
     if scalars is None:
@@ -234,16 +232,17 @@ class _LeafScalars(dict):
 def _keyed_bracket(datum: QuantumDatum, a: dict, b: dict, fk: int, fbound: int):
     """The terms of the bracket of :func:`shuffle_bracket` on packed keys
     (module docstring), for the monic factor of key ``fk`` (0 for None)
-    and exponent bound ``fbound``; None where the keys and energies of
-    the pairs could pass EXP_LIMIT.  A leaf adds c = c_u c_v shifted by K
-    and -c shifted by K + fk + E into the int dict of its word, so every
-    exponent stays within max |c| + ``reach`` <= 2 EXP_LIMIT < 2^31.  As
-    in add_terms, a term or a word that cancels is dropped at once, which
-    keeps the words of a large bracket from piling up."""
+    and exponent bound ``fbound``; ExponentOutOfRange where the keys and
+    energies of the pairs could pass EXP_LIMIT.  A leaf adds c = c_u c_v
+    shifted by K and -c shifted by K + fk + E into the int dict of its
+    word, so every exponent stays within max |c| + ``reach`` <= 2
+    EXP_LIMIT < 2^31.  As in add_terms, a term or a word that cancels is
+    dropped at once, which keeps the words of a large bracket from piling
+    up."""
     rows, cols, energy, step = _tables(datum)
     reach = max(map(len, a)) * max(map(len, b)) * step + fbound
     if reach > EXP_LIMIT:
-        return None
+        raise ExponentOutOfRange(f"a key may reach exponent {reach}, past +-{EXP_LIMIT}")
     vs, one = datum.varset, datum.one()
     words: dict = {}
     bound = 0
@@ -405,16 +404,12 @@ def eval_free(datum: QuantumDatum, f: FreeElem) -> ShuffleElem:
     contributes c.  The prefixes sharing a (physical) last letter are
     merged into one canonical sum before the letter product, so terms
     cancel early instead of after every word is shuffled out on its own.
-    Over rational data the walk runs on the cleared int tables of the
-    module docstring, and each output term is divided by L K(z) once;
-    over a table of monic monomials it runs on packed keys.
+    Over a table of monic monomials the walk runs on packed keys; over
+    rational data it runs on the cleared int tables of the module
+    docstring, and each output term is divided by L K(z) once.
     """
     if datum._p_keys is not None:
-        out = _keyed_eval(datum, f.terms)
-        if out is not None:
-            return ShuffleElem._fresh(out)
-    if not isinstance(datum.q, Fraction):
-        return ShuffleElem._fresh(_eval_terms(datum, f.terms, None))
+        return ShuffleElem._fresh(_keyed_eval(datum, f.terms))
     tables = _cleared_tables(datum)
     scale = lcm(*(c.denominator for c in f.terms.values()))
     ints = _eval_terms(datum, {w: c.numerator * (scale // c.denominator)
@@ -430,8 +425,9 @@ def eval_free(datum: QuantumDatum, f: FreeElem) -> ShuffleElem:
 
 
 def _eval_terms(datum: QuantumDatum, terms: dict, tables) -> dict:
-    """The terms of the image of the sum with the given terms, through the
-    letter products, or over ints on the cleared ``tables`` if given."""
+    """The int terms of the image of the sum with the given int terms, on
+    the cleared ``tables`` (C, A) of a rational datum."""
+    cross, tails = tables
     out = {(): terms[()]} if () in terms else {}
     groups: dict = {}
     for w, c in terms.items():
@@ -440,33 +436,30 @@ def _eval_terms(datum: QuantumDatum, terms: dict, tables) -> dict:
     for x, prefixes in groups.items():
         if prefixes:
             img = _eval_terms(datum, prefixes, tables)
-            if tables is None:
-                img = shuffle_letter_mul(datum, ShuffleElem._fresh(img), x).terms
-            else:
-                cross, tails = tables
-                img = _letter_terms(img, x, tails[x], cross[x])
-            add_terms(out, img.items())
+            add_terms(out, _letter_terms(img, x, tails[x], cross[x]).items())
     return out
 
 
-def _keyed_eval(datum: QuantumDatum, terms: dict):
+def _keyed_eval(datum: QuantumDatum, terms: dict) -> dict:
     """The terms of the image of the sum with the given terms on packed
-    keys (module docstring); None where a coefficient is not a LaurentPoly
-    over the datum's variables or the keys could pass EXP_LIMIT."""
-    vs = datum.varset
+    keys (module docstring), each coefficient taken into the datum's ring;
+    ExponentOutOfRange where the keys could pass EXP_LIMIT."""
+    vs, one = datum.varset, datum.one()
+    keyed = {}
     bound = longest = 0
     for w, c in terms.items():
         if c.__class__ is not LaurentPoly or c.vs is not vs:
-            return None
+            c = one * c
         if c._bound > bound:
             bound = c._bound
         if len(w) > longest:
             longest = len(w)
+        keyed[w] = c.terms
     rows, _, _, step = _tables(datum)
     bound += longest * longest * step
     if bound > EXP_LIMIT:
-        return None
-    out = _keyed_terms(datum.physical, rows, {w: c.terms for w, c in terms.items()})
+        raise ExponentOutOfRange(f"a key may reach exponent {bound}, past +-{EXP_LIMIT}")
+    out = _keyed_terms(datum.physical, rows, keyed)
     return {z: _laurent(vs, d, bound) for z, d in out.items()}
 
 
@@ -489,7 +482,7 @@ def _keyed_terms(physical, rows, terms: dict) -> dict:
     for x, prefixes in groups.items():
         if prefixes:
             # the letter product, merged into a dict of its own first as
-            # the Laurent walk merges it, so words cancel at the same steps
+            # shuffle_letter_mul merges it, so words cancel at the same steps
             row, img = rows[x], {}
             for z, d in _keyed_terms(physical, rows, prefixes).items():
                 k = 0

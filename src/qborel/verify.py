@@ -36,7 +36,6 @@ from __future__ import annotations
 import random
 import time
 import weakref
-from fractions import Fraction
 from functools import partial, reduce
 from itertools import permutations
 from typing import NamedTuple
@@ -695,7 +694,7 @@ def _residue_map(datum: QuantumDatum, p: int):
     not a unit mod p, and ``ValueError`` for a datum whose scalars are not
     rationals.
     """
-    if not isinstance(datum.q, Fraction):
+    if datum._p_fracs is None:
         raise ValueError(f"reduction mod {p} needs a datum over the rationals, not {datum!r}")
     named = [("q", datum.q)] + [(f"p_{i}_{j}", x) for i, row in enumerate(datum.p, 1)
                                 for j, x in enumerate(row, 1)]

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 from unittest import mock
 from fractions import Fraction
 
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qborel
-from qborel.coeffring import LaurentPoly, MissingAssignment, ZeroAssignment
-from qborel.datum import (IndexOutOfRange, InvalidRank,
-                          NumericAssignmentHitsExcludedRoot, make_datum, mu,
-                          sigma, sigma_closed_form)
+from qborel.coeffring import (ExponentOutOfRange, LaurentPoly, MissingAssignment,
+                              ZeroAssignment)
+from qborel.datum import (MODES, IndexOutOfRange, InvalidRank,
+                          NumericAssignmentHitsExcludedRoot, QuantumDatum, make_datum,
+                          mu, sigma, sigma_closed_form)
 
 C2 = make_datum("C", 2)
 C3 = make_datum("C", 3)
@@ -266,6 +268,55 @@ def test_p_words_key_path_only_for_monic_monomial_tables():
     assert all(d._p_keys is not None for d in KEY_PATH_DATA.values())
     numeric = make_datum("C", 3, "numeric")
     assert numeric._p_keys is None
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_make_datum_decides_one_kind_per_mode(mode):
+    # the Laurent modes get the packed keys of p and the numeric mode its
+    # numerators and denominators, never both
+    for series, n in (("A", 3), ("C", 3), ("D", 4)):
+        d = make_datum(series, n, mode)
+        assert (d._p_keys is None) == (mode == "numeric")
+        assert (d._p_fracs is None) == (mode != "numeric")
+
+
+def with_table(d, p):
+    return QuantumDatum(d.series, d.n, d.mode, d.cartan, d.d, d.varset, d.assignment,
+                        tuple(map(tuple, p)), d.q)
+
+
+def test_datum_refuses_units_that_are_not_monic():
+    # p_12 = -t_12 and p_21 = -q^-2 t_12^-1 keep every relation, but a
+    # packed key holds no sign
+    p = [[C2.p[0][0], -t(C2, 1, 2)], [-(q(C2, -2) / t(C2, 1, 2)), C2.p[1][1]]]
+    QuantumDatum._verify_relations(SimpleNamespace(
+        series="C", n=2, cartan=C2.cartan, d=C2.d, p=p, q=C2.q, _one=C2.one()))
+    with pytest.raises(ValueError, match="monic Laurent monomials"):
+        with_table(C2, p)
+
+
+def test_datum_refuses_a_table_of_two_kinds():
+    numeric = make_datum("C", 2, "numeric")
+    p = [list(row) for row in C2.p]
+    p[0][1] = numeric.p[0][1]
+    with pytest.raises(ValueError, match="monic Laurent monomials"):
+        with_table(C2, p)
+    p = [list(row) for row in numeric.p]
+    p[1][0] = C2.p[1][0]
+    with pytest.raises(ValueError, match="monic Laurent monomials"):
+        with_table(numeric, p)
+
+
+def test_p_words_refuses_keys_past_the_exponent_range():
+    # with p_12 = t_1_2^(2^28) two letter pairs stay within EXP_LIMIT and
+    # four may not, whatever the exponents of the product
+    big = with_table(C2, [[C2.p[0][0], t(C2, 1, 2, 2 ** 28)],
+                          [q(C2, -2) * t(C2, 1, 2, -2 ** 28), C2.p[1][1]]])
+    assert big.p_words((1, 2), (2,)) == big.p[0][1] * big.p[1][1]
+    with pytest.raises(ExponentOutOfRange):
+        big.p_words((1, 2), (1, 2))
+    with pytest.raises(ExponentOutOfRange):
+        big.p_words((1, 1, 1, 1), (2,))
 
 
 @pytest.mark.parametrize("d", [C3, D4, make_datum("C", 3, "numeric")],

@@ -1,14 +1,16 @@
 import gc
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qborel import shuffle
-from qborel.coeffring import EXP_LIMIT, ExponentOutOfRange, LaurentPoly
+from qborel import shuffle, verify
+from qborel.cli import run_command
+from qborel.coeffring import (EXP_LIMIT, ExponentOutOfRange, LaurentPoly, VarSetMismatch,
+                              add_terms)
 from qborel.datum import QuantumDatum, make_datum
 from qborel.freeword import (FreeElem, NonHomogeneousOperand, pbw_bracketing,
                              skew_bracket)
@@ -234,6 +236,23 @@ def eval_by_words(datum, f):
     return total
 
 
+def letter_product_walk(datum, terms):
+    """The terms of the image of the sum with the given terms, grouped by
+    the physical last letter as eval_free groups them, each group's merged
+    prefixes taken through the public letter product: the word-order
+    reference of the evaluation walks."""
+    out = {(): terms[()]} if () in terms else {}
+    groups = {}
+    for w, c in terms.items():
+        if w:
+            add_terms(groups.setdefault(datum.physical(w[-1]), {}), ((w[:-1], c),))
+    for x, prefixes in groups.items():
+        if prefixes:
+            img = ShuffleElem._fresh(letter_product_walk(datum, prefixes))
+            add_terms(out, shuffle_letter_mul(datum, img, x).terms.items())
+    return out
+
+
 def random_free(datum, data, max_len=5, max_terms=8):
     """A sum of random words, some with a folded twin of opposite sign."""
     top = datum.max_letter
@@ -302,7 +321,7 @@ def test_rational_eval_free_is_the_fraction_walk(name, data):
         f = f + FreeElem.word((), Fraction(-2, 3))
     got = eval_free(datum, f)
     assert got == eval_by_words(datum, f)
-    assert list(got.terms.items()) == list(shuffle._eval_terms(datum, f.terms, None).items())
+    assert list(got.terms.items()) == list(letter_product_walk(datum, f.terms).items())
     assert all(type(c) is Fraction for c in got.terms.values())
 
 
@@ -548,18 +567,25 @@ def test_keyed_bracket_guards_the_exponent_range(coeff, left, right):
             assert vs.pack(vs.unpack(key)) == key
 
 
-def test_keyed_bracket_falls_back_where_keys_could_wrap():
-    # with t_12 raised to 2^28 the bound on the keys of a two-by-two bracket
-    # passes EXP_LIMIT, so the generic walk computes it
-    n = 2 ** 28
-    vs = C2.varset
-    t = LaurentPoly.t(vs, 1, 2, n)
+def huge_t12_datum():
+    """C_2 with p_12 = t_1_2^(2^28): the keys of a bracket or an evaluation
+    over two-by-two letter pairs could pass EXP_LIMIT."""
+    t = LaurentPoly.t(C2.varset, 1, 2, 2 ** 28)
     p = ((C2.p[0][0], t), (C2.q_power(-2) / t, C2.p[1][1]))
-    big = QuantumDatum("C", 2, "multiparameter", C2.cartan, C2.d, vs, None, p, C2.q)
+    return QuantumDatum("C", 2, "multiparameter", C2.cartan, C2.d, C2.varset, None, p, C2.q)
+
+
+def test_keyed_bracket_refuses_where_keys_could_wrap():
+    # with t_12 raised to 2^28 the bound on the keys of a two-by-two bracket
+    # passes EXP_LIMIT, so the keyed walk raises before it walks, although
+    # the generic walk's exponents stay in range here
+    big = huge_t12_datum()
     a, b = mono(big, (1, 2)), mono(big, (2, 1), C2.q_power(1))
-    assert shuffle._keyed_bracket(big, a.terms, b.terms, 0, 0) is None
-    got = shuffle_bracket(big, a, b)
-    assert got and got.terms == generic_bracket(big, a, b, None)
+    with pytest.raises(ExponentOutOfRange):
+        shuffle._keyed_bracket(big, a.terms, b.terms, 0, 0)
+    with pytest.raises(ExponentOutOfRange):
+        shuffle_bracket(big, a, b)
+    assert generic_bracket(big, a, b, None)
     # one-letter operands stay on the keys
     assert shuffle._keyed_bracket(big, a.terms, {(2,): big.one()}, 0, 0) == \
         generic_bracket(big, a, mono(big, (2,)), None)
@@ -587,8 +613,7 @@ def test_keyed_eval_free_is_the_laurent_walk(name, data):
     if data.draw(st.booleans()):
         f = f + FreeElem.word((), q - t)
     keyed = shuffle._keyed_eval(datum, f.terms)
-    assert keyed is not None
-    assert list(keyed.items()) == list(shuffle._eval_terms(datum, f.terms, None).items())
+    assert list(keyed.items()) == list(letter_product_walk(datum, f.terms).items())
     got = eval_free(datum, f)
     assert got.terms == keyed and all(got.terms.values())
     assert got == eval_by_words(datum, f)
@@ -604,44 +629,77 @@ def test_keyed_eval_free_merges_each_letter_product_whole():
     f = FreeElem({(2, 2, 1): q ** 2 * t ** 2, (2, 1, 2): -(q ** 2 + C2.one()) * t})
     got = eval_free(C2, f)
     assert list(got.terms) == [(2, 2, 1), (2, 1, 2), (1, 2, 2)]
-    assert list(got.terms.items()) == list(shuffle._eval_terms(C2, f.terms, None).items())
+    assert list(got.terms.items()) == list(letter_product_walk(C2, f.terms).items())
 
 
-def test_keyed_eval_free_falls_back_past_the_exponent_range():
+def test_keyed_eval_free_refuses_keys_past_the_exponent_range():
     # with t_12 raised to 2^28 the keys of a two-letter word could pass
-    # EXP_LIMIT, so the Laurent walk evaluates: to the same image where the
-    # exponents stay in range, to the same ExponentOutOfRange where placing
-    # x2 before x1, of weight q^2 t_12^(2^28), leaves it
-    n = 2 ** 28
-    vs = C2.varset
-    t = LaurentPoly.t(vs, 1, 2, n)
-    p = ((C2.p[0][0], t), (C2.q_power(-2) / t, C2.p[1][1]))
-    big = QuantumDatum("C", 2, "multiparameter", C2.cartan, C2.d, vs, None, p, C2.q)
+    # EXP_LIMIT, so the keyed walk raises before it walks: where the
+    # exponents of the image would stay in range, as the letter products
+    # show, and where placing x2 before x1, of weight q^2 t_12^(2^28),
+    # leaves it
+    big = huge_t12_datum()
     f = FreeElem({(1, 2): big.one(), (2, 1, 2): big.q_power(1), (): big.integer(2)})
-    assert shuffle._keyed_eval(big, f.terms) is None
-    got = eval_free(big, f)
-    assert got and list(got.terms.items()) == \
-        list(shuffle._eval_terms(big, f.terms, None).items())
-    assert got == eval_by_words(big, f)
-    edge = FreeElem({(1, 2): LaurentPoly.t(vs, 1, 2, EXP_LIMIT - n // 2)})
-    with pytest.raises(ExponentOutOfRange):
-        shuffle._eval_terms(big, edge.terms, None)
-    with pytest.raises(ExponentOutOfRange):
-        eval_free(big, edge)
+    assert letter_product_walk(big, f.terms)
+    edge = FreeElem({(1, 2): LaurentPoly.t(big.varset, 1, 2, EXP_LIMIT - 2 ** 27)})
+    for g in (f, edge):
+        with pytest.raises(ExponentOutOfRange):
+            shuffle._keyed_eval(big, g.terms)
+        with pytest.raises(ExponentOutOfRange):
+            eval_free(big, g)
     # one-letter words stay on the keys
-    one = FreeElem({(1,): t, (2,): big.q_power(-1)})
-    assert shuffle._keyed_eval(big, one.terms) == shuffle._eval_terms(big, one.terms, None)
+    one = FreeElem({(1,): big.p[0][1], (2,): big.q_power(-1)})
+    assert shuffle._keyed_eval(big, one.terms) == letter_product_walk(big, one.terms)
+    assert eval_free(big, one) == eval_by_words(big, one)
 
 
 def test_keyed_eval_free_takes_only_laurent_coefficients():
-    # a coefficient that is not a LaurentPoly over the datum's own
-    # variables sends the sum to the Laurent walk
-    other = make_datum("C", 4)
-    for coeff in (2, other.q_power(1)):
-        f = FreeElem({(1, 2): C3.q_power(1), (2, 1): coeff})
-        assert shuffle._keyed_eval(C3, f.terms) is None
+    # an int coefficient is taken into the datum's ring, and a coefficient
+    # over another datum's variables is refused, as a Laurent product
+    # refuses it
     f = FreeElem({(1, 2): C3.q_power(1), (2, 1): 2})
-    assert eval_free(C3, f).terms == shuffle._eval_terms(C3, f.terms, None)
+    got = eval_free(C3, f)
+    assert got == eval_by_words(C3, f)
+    assert all(c.vs is C3.varset for c in got.terms.values())
+    other = make_datum("C", 4)
+    f = FreeElem({(1, 2): C3.q_power(1), (2, 1): other.q_power(1)})
+    with pytest.raises(VarSetMismatch):
+        eval_free(C3, f)
+
+
+@pytest.mark.parametrize("series,rank", [("C", "4"), ("D", "5")])
+def test_symbolic_suites_walk_only_packed_keys(monkeypatch, capsys, series, rank):
+    # every evaluation and bracket of a symbolic run walks packed keys: the
+    # letter product never runs, and the generic interleavings walk never
+    # sees a LaurentPoly; the pbw suite's products over ints still take it
+    walks = {"eval": 0, "bracket": 0, "ints": 0}
+
+    def count(name, real):
+        def wrapped(*args):
+            walks[name] += 1
+            return real(*args)
+        return wrapped
+
+    def refuse(*args):
+        raise AssertionError("shuffle_letter_mul ran on symbolic data")
+
+    real = shuffle._interleavings
+
+    def ints_only(rows, a, b, scalars):
+        scalars_seen = chain(chain.from_iterable(rows), a.values(), b.values())
+        assert not any(c.__class__ is LaurentPoly for c in scalars_seen)
+        walks["ints"] += 1
+        return real(rows, a, b, scalars)
+
+    monkeypatch.setattr(shuffle, "shuffle_letter_mul", refuse)
+    monkeypatch.setattr(shuffle, "_interleavings", ints_only)
+    monkeypatch.setattr(verify, "_interleavings", ints_only)
+    monkeypatch.setattr(shuffle, "_keyed_eval", count("eval", shuffle._keyed_eval))
+    monkeypatch.setattr(shuffle, "_keyed_bracket", count("bracket", shuffle._keyed_bracket))
+    assert run_command(["verify", "--series", series, "--rank", rank, "--suite", "all",
+                        "--mode", "symbolic", "--count", "2"]) == 0
+    assert "all suites pass" in capsys.readouterr().out
+    assert all(walks.values()), walks
 
 
 def test_key_tables_are_built_once_per_datum(monkeypatch):
