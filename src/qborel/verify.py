@@ -40,7 +40,7 @@ from functools import partial, reduce
 from itertools import permutations
 from typing import NamedTuple
 
-from .coeffring import EXP_LIMIT, NonDivisible, add_terms, kronecker_form
+from .coeffring import EXP_LIMIT, ExponentOutOfRange, NonDivisible, add_terms, kronecker_form
 from .datum import QuantumDatum, make_datum, sigma, sigma_closed_form
 from .freeword import FreeElem, left_nested, right_nested, skew_bracket
 from .pbwgen import generator_image, is_pbw_interval, pbw_generators, tau_table
@@ -137,15 +137,19 @@ def verify_sigma_closed_form(datum: QuantumDatum) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # Serre relations
+_chains: "weakref.WeakKeyDictionary[QuantumDatum, tuple]" = weakref.WeakKeyDictionary()
 
-def _serre_chains(datum: QuantumDatum) -> list:
-    """(name, u, w) for every defining relation [u, w].
+
+def _serre_chains(datum: QuantumDatum) -> tuple:
+    """(name, u, w) for every defining relation [u, w], memoised per datum.
 
     For every ordered pair i != j with c = 1 - a_ji copies of x_j: the
     left-nested chain [...[[x_i,x_j],x_j],...,x_j], then, when c > 1, the
     right-nested chain [x_j,[x_j,...,[x_j,x_i]...]]; for orthogonal pairs the
     chain is the plain bracket [x_i,x_j].
     """
+    if datum in _chains:
+        return _chains[datum]
     chains = []
     for i, j in permutations(range(1, datum.n + 1), 2):
         cnt = 1 - datum.cartan[j - 1][i - 1]
@@ -155,7 +159,7 @@ def _serre_chains(datum: QuantumDatum) -> list:
         if cnt > 1:
             chains.append((f"[x{j}," * cnt + f"x{i}" + "]" * cnt,
                            xj, right_nested(datum, [xj] * (cnt - 1) + [xi])))
-    return chains
+    return _chains.setdefault(datum, tuple(chains))
 
 
 def serre_relations(datum: QuantumDatum) -> list:
@@ -423,8 +427,8 @@ def _forms_agree(f, g, a, bits: int):
 
 def _split_keys(datum: QuantumDatum, words: dict, k: int, m: int) -> dict:
     """{i: the packed key of p(w(i+1,m), w(k,i))} for k <= i < m over a
-    table of monic monomials, without the splits whose key might pass
-    EXP_LIMIT; {} over any other table.
+    table of monic monomials, {} over any other table; like ``p_words``,
+    raises ExponentOutOfRange where a key might pass EXP_LIMIT.
 
     ``words`` memoises per interval (k, m) the physical indices of w(k,m)
     and its column key sums col[a] = sum over b in w(k,m) of key(p_ab), so
@@ -436,8 +440,10 @@ def _split_keys(datum: QuantumDatum, words: dict, k: int, m: int) -> dict:
     for i in range(k, m):
         left, _ = words.get((i + 1, m)) or _interval_keys(datum, words, i + 1, m)
         right, col = words.get((k, i)) or _interval_keys(datum, words, k, i)
-        if len(left) * len(right) * datum._p_bound <= EXP_LIMIT:
-            out[i] = sum(map(col.__getitem__, left))
+        bound = len(left) * len(right) * datum._p_bound
+        if bound > EXP_LIMIT:
+            raise ExponentOutOfRange(f"p(u, v) may reach exponent {bound}, past +-{EXP_LIMIT}")
+        out[i] = sum(map(col.__getitem__, left))
     return out
 
 
@@ -462,10 +468,10 @@ def _split_sum_holds(datum: QuantumDatum, k: int, m: int) -> bool:
     gamma_i cl cr; at the end every key must be reached.  Each product is
     compared on Kronecker forms (module docstring), with one big-integer
     product per pair: gamma_i's form is that of tau_i (1 - q^-1), memoised
-    per tau, shifted by the packed key of the monic monomial
-    p(w(i+1,m), w(k,i)) (:func:`_split_keys`), and the forms of the images
-    are memoised per datum.  Where the forms do not decide, the scalars are
-    multiplied.
+    per tau, shifted by the packed key of the monic monomial p(w(i+1,m),
+    w(k,i)) (:func:`_split_keys`, which raises ExponentOutOfRange where that
+    key might pass EXP_LIMIT), and the forms of the images are memoised per
+    datum.  Where the forms do not decide, the scalars are multiplied.
     """
     bits = _FORM_BITS
     memo = _forms.get(datum)
@@ -482,10 +488,10 @@ def _split_sum_holds(datum: QuantumDatum, k: int, m: int) -> bool:
         ft = gammas.get(tau, False)
         if ft is False:
             ft = gammas[tau] = kronecker_form(tau * qfac, bits)
-        key = split_keys.get(i)
         fg = None
-        if ft is not None and key is not None:
+        if ft is not None:
             # dividing by the monomial of that key shifts the form
+            key = split_keys[i]
             e = ((key + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
             fg = (ft[0] - (key - e), ft[1] - e, ft[2], ft[3])
         gamma = None
@@ -707,20 +713,25 @@ def _residue_map(datum: QuantumDatum, p: int):
 def _modp_first_dependent(rows: list, p: int):
     """Incremental row reduction mod p; returns (rank, first dependent row).
 
-    Each row is a sparse {column: int} dict, read mod p.  Every pivot row
-    is normalized and keyed by its smallest column, so eliminating a row's
-    smallest column creates only larger ones.  The prime p makes each
-    pivot a unit, inverted by ``pow(x, -1, p)``.
+    Each row is a sparse {column: int} dict, read mod p.  A pivot is a row
+    as reduced, not rescaled, keyed by its smallest column, so eliminating a
+    row's smallest column creates only larger ones.  A row of residues in
+    [1, p) is the caller's dict, copied only when it meets a pivot, whose
+    leading value (a unit mod p) is then inverted; no input row changes.
     """
-    pivots: dict = {}  # smallest column -> normalized row
+    pivots: dict = {}  # smallest column -> its row, as reduced
     for idx, row in enumerate(rows):
-        r = {col: s for col, v in row.items() if (s := v % p)}
+        r = row
+        if not (0 < min(row.values(), default=0) and max(row.values()) < p):
+            r = {col: s for col, v in row.items() if (s := v % p)}
         while r:
             col = min(r)
             pivot = pivots.get(col)
             if pivot is None:
                 break
-            f = r[col]
+            if r is row:
+                r = dict(row)
+            f = r[col] * pow(pivot[col], -1, p) % p
             for c, v in pivot.items():
                 s = (r.get(c, 0) - f * v) % p
                 if s:
@@ -729,8 +740,7 @@ def _modp_first_dependent(rows: list, p: int):
                     r.pop(c, None)
         if not r:
             return idx, idx
-        inv = pow(r[col], -1, p)
-        pivots[col] = {c: v * inv % p for c, v in r.items()}
+        pivots[col] = r
     return len(rows), None
 
 
@@ -803,15 +813,15 @@ def verify_pbw_independence(datum: QuantumDatum, max_degree: int,
     full row rank of the coefficient matrix over the comonomial basis:
     since reduction mod the prime is a ring map on the point, full rank
     there is a lower bound for the rational rank, so the certificate is
-    exact.  The rows are
-    eliminated as built, each pivot keyed by its lex-smallest comonomial:
-    every row is homogeneous, so inside a multidegree block that is the
-    length-then-lex order, and the rank and the first dependent row do not
-    depend on the order.  A deficient point, or one with q or some p_ij not
-    a unit mod the prime, is retried at a second seed (and a different
-    prime), since deficiency at a point never falsifies generic
-    independence: the superseded attempt keeps its witness but counts as
-    passed, so the last attempt decides the report.
+    exact.  Every row is built before the elimination starts, which takes
+    the rows in the products' lex order and keys each pivot by its
+    lex-smallest comonomial: every row is homogeneous, so inside a
+    multidegree block that is the length-then-lex order, and the rank and
+    the first dependent row do not depend on the order.  A deficient point,
+    or one with q or some p_ij not a unit mod the prime, is retried at a
+    second seed (and a different prime), since deficiency at a point never
+    falsifies generic independence: the superseded attempt keeps its
+    witness but counts as passed, so the last attempt decides the report.
     """
     t0 = time.monotonic()
     if max_degree < 1:

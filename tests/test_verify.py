@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import sys
@@ -11,7 +12,8 @@ from fractions import Fraction
 from itertools import product
 
 from qborel import cli, verify
-from qborel.coeffring import LaurentPoly, NonDivisible, VarSet, add_terms, kronecker_form
+from qborel.coeffring import (ExponentOutOfRange, LaurentPoly, NonDivisible, VarSet,
+                              add_terms, kronecker_form)
 from qborel.datum import QuantumDatum, make_datum
 from qborel.pbwgen import generator_image, pbw_generators, tau_table
 from qborel.freeword import skew_bracket
@@ -50,6 +52,33 @@ def test_serre_suite(d):
 def test_serre_numeric():
     d5 = make_datum("D", 5, "numeric")
     assert verify_serre(d5).passed
+
+
+def test_serre_chains_are_built_once_per_datum():
+    # the chains are memoised per datum; serre and the identity suite read
+    # the same cases from a cold and a warm memo, and from a fresh datum
+    def reports(d):
+        return [tuple(c) for r in (verify_serre(d), verify_identity_suite(d, seed=3, count=4))
+                for c in r.cases]
+
+    d = make_datum("C", 3)
+    chains = verify._serre_chains(d)
+    assert isinstance(chains, tuple) and verify._serre_chains(d) is chains
+    cold = reports(make_datum("D", 4))
+    d4 = make_datum("D", 4)
+    verify._serre_chains(d4)
+    assert reports(d4) == reports(d4) == cold
+    assert all(passed for _, passed, _ in cold)
+    gc.collect()
+    gc.disable()
+    try:
+        d = make_datum("C", 3)
+        alive = weakref.ref(d)
+        reports(d)
+        del d
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("d", [C3, D4], ids=lambda d: f"{d.series}{d.n}")
@@ -379,7 +408,7 @@ def test_split_keys_are_the_keys_of_p_words(series, n, mode):
 
 def test_split_keys_decline_past_the_exponent_range():
     # with p_12 = t_1_2^(2^28) a split of 4 letter pairs or more may sum
-    # past EXP_LIMIT, so it has no key and the scalars are multiplied
+    # past EXP_LIMIT, so its key is refused as p_words refuses its monomial
     c3 = make_datum("C", 3)
     t = LaurentPoly.t(c3.varset, 1, 2, 2 ** 28)
     p = [list(row) for row in c3.p]
@@ -388,9 +417,14 @@ def test_split_keys_decline_past_the_exponent_range():
                        tuple(map(tuple, p)), c3.q)
     # every split of v[1,5] has 4 or 6 letter pairs; v[1,4] splits into
     # 3 + 1, 2 + 2 and 1 + 3 letters
-    assert verify._split_keys(big, {}, 1, 5) == {}
-    assert set(verify._split_keys(big, {}, 1, 4)) == {1, 3}
-    for k, m in ((2, 3), (1, 3), (1, 4)):
+    for m in (5, 4):
+        with pytest.raises(ExponentOutOfRange, match=r"p\(u, v\) may reach exponent"):
+            verify._split_keys(big, {}, 1, m)
+    with pytest.raises(ExponentOutOfRange):
+        big.p_words(big.series_word(3, 4), big.series_word(1, 2))
+    with pytest.raises(ExponentOutOfRange):
+        verify_coproducts(big)
+    for k, m in ((2, 3), (1, 3)):
         for i, key in verify._split_keys(big, {}, k, m).items():
             assert big.p_words(big.series_word(i + 1, m), big.series_word(k, i)).terms == {key: 1}
 
@@ -616,6 +650,88 @@ def test_modp_elimination_on_comonomial_keys(series, n, degree):
                      for z, c in row.items()} for row in matrix]
         assert _modp_first_dependent(numbered, p) == want
         assert _modp_first_dependent(matrix, p) == want
+
+
+def normalising_first_dependent(rows: list, p: int):
+    """Reference: row reduction mod p over normalised copies of the rows."""
+    pivots: dict = {}  # smallest column -> normalized row
+    for idx, row in enumerate(rows):
+        r = {col: s for col, v in row.items() if (s := v % p)}
+        while r:
+            col = min(r)
+            pivot = pivots.get(col)
+            if pivot is None:
+                break
+            f = r[col]
+            for c, v in pivot.items():
+                s = (r.get(c, 0) - f * v) % p
+                if s:
+                    r[c] = s
+                else:
+                    r.pop(c, None)
+        if not r:
+            return idx, idx
+        inv = pow(r[col], -1, p)
+        pivots[col] = {c: v * inv % p for c, v in r.items()}
+    return len(rows), None
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """(p, rows): sparse int rows mod p, each either of residues in [1, p)
+    or with entries that may be >= p, negative or zero mod p.  A drawn
+    shape plants a dependency: a dict object passed twice, or, after row
+    20 of a triangular matrix (row i led by column i, so of full rank), a
+    combination of earlier rows."""
+    p = draw(st.sampled_from([7, 101, _RANK_PRIMES[0]]))
+    residue = st.integers(1, p - 1)
+    raw = st.one_of(st.sampled_from([0, p, -p, 2 * p]), residue, st.integers(-3 * p, 3 * p))
+    shape = draw(st.sampled_from(["free", "repeat", "plant"]))
+    triangular = shape == "plant" or draw(st.booleans())
+    rows = []
+    for i in range(draw(st.integers(21 if shape == "plant" else 0, 30))):
+        clean = draw(st.booleans())
+        row = draw(st.dictionaries(st.integers(i + 1 if triangular else 0, 40),
+                                   residue if clean else raw, max_size=4))
+        if triangular:
+            row[i] = draw(residue) + (0 if clean else draw(st.integers(-2, 2)) * p)
+        rows.append(row)
+    if shape == "repeat" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.insert(draw(st.integers(i + 1, len(rows))), rows[i])
+    if shape == "plant":
+        planted = {}
+        for i in draw(st.lists(st.integers(0, 20), min_size=1, max_size=4)):
+            add_terms(planted, ((c, draw(residue) * v) for c, v in rows[i].items()))
+        # the combination, as ints that are not all residues
+        planted = {c: v % p + draw(st.integers(-2, 2)) * p for c, v in planted.items()}
+        rows.insert(draw(st.integers(21, len(rows))), planted)
+    return p, rows
+
+
+@settings(deadline=None, max_examples=40)
+@given(sparse_int_matrices())
+def test_lazy_pivots_agree_with_normalised_elimination(case):
+    # pivots are the caller's rows until a pivot meets them, so every row
+    # must come back unchanged, and rank and dependent row must not move
+    p, rows = case
+    before = copy.deepcopy(rows)
+    assert _modp_first_dependent(rows, p) == normalising_first_dependent(before, p)
+    assert rows == before
+
+
+def test_lazy_pivots_meet_a_repeated_row_and_planted_dependents():
+    p = 7
+    row = {0: 3, 2: 5}
+    rows = [row, {1: 6}, row]
+    assert _modp_first_dependent(rows, p) == (2, 2)
+    assert rows == [{0: 3, 2: 5}, {1: 6}, {0: 3, 2: 5}]
+    # an entry p is zero mod p, not a residue to keep
+    assert _modp_first_dependent([{1: 3}, {0: p, 1: 3}], p) == (1, 1)
+    independent = [{i: 1 + i % 6, i + 1: 2} for i in range(25)]
+    planted = {0: 2 * 1 + 7, 1: 2 * 2 + 3 * 2 - 14, 2: 3 * 2}
+    assert _modp_first_dependent(independent[:22] + [planted], p) == (22, 22)
+    assert normalising_first_dependent(independent[:22] + [planted], p) == (22, 22)
 
 
 def test_pbw_independence_names_a_planted_dependent_product(monkeypatch):
