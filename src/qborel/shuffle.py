@@ -8,7 +8,10 @@ comonomials u and v, and a shuffle pays p(y, x)^{-1} for every letter y of
 v that lands before a letter x of u.  A bracket a * b - c p(a, b) b * a
 runs over the same shuffles, weighting each by 1 - c q^E for its crossing
 energy E (:func:`shuffle_bracket`), so the product and the bracket share
-one walk over the interleavings; the product tracks no energy.
+one walk (:func:`_interleavings`).  It places each letter of the shorter
+comonomial by one loop over the slots of the longer, with the weight and
+the energy as running values, and adds each interleaving to the sum as
+it is built; the product tracks no energy.
 
 With v a single letter the product is the right letter product (w)(x_i) =
 sum_{uv=w} p(x_i, v)^{-1} (u x_i v), which keeps a loop of its own: the
@@ -69,7 +72,7 @@ from __future__ import annotations
 import re
 import weakref
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import lcm, prod
 from operator import mul
 from typing import Sequence
@@ -159,9 +162,9 @@ def _letter_terms(terms: dict, x: int, tail, head=None) -> dict:
 def shuffle_mul(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem) -> ShuffleElem:
     """The braided shuffle product a * b.
 
-    The letters of the shorter comonomial of each pair are placed into the
-    longer one, so a letter operand costs one scalar product per output
-    term, as the letter product does.
+    One loop per letter places the shorter comonomial of each pair into
+    the longer one, so a letter operand costs one scalar product per
+    output term, as the letter product does.
     """
     return ShuffleElem._fresh(_interleavings(datum._p_inv, a.terms, b.terms, None))
 
@@ -181,11 +184,12 @@ def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
 
         sum over u, v, sigma of c_u c_v w(sigma) (1 - factor q^{E(sigma)}) sigma.
 
-    The scalar 1 - factor q^E is computed once per distinct E, and an
-    interleaving whose scalar is zero is skipped before its word is built:
-    E = 0 for the skew bracket and E = 1 for the double bracket.  Over a
-    table of monic monomials with factor None or a monic monomial, the
-    walk runs on packed keys instead (module docstring).
+    The walk carries E beside the weight, 1 - factor q^E is computed once
+    per distinct E, and an interleaving whose scalar is zero is skipped
+    before its word is built: E = 0 for the skew bracket and E = 1 for
+    the double bracket.  Over a table of monic monomials with factor None
+    or a monic monomial, the walk runs on packed keys instead (module
+    docstring).
 
     The image of the skew bracket [u, v] is shuffle_bracket(eval(u),
     eval(v)), and that of the double bracket takes factor = q^{-1}.
@@ -286,7 +290,7 @@ def _keyed_leaves(base: tuple, ins: tuple, rows, energy, fk: int, k: int, e: int
     """(word, K, K + fk + E) for each placement of ins, in order, into base
     with fk + E != 0, where K and E start at k and e and a letter y placed
     before base[s:] adds rows[y][z] to K and energy[y][z] to E for each
-    letter z of base[s:] (the rule of :func:`_leaves`)."""
+    letter z of base[s:] (the rule of :func:`_place`)."""
     if not ins:
         if fk + e:
             yield base, k, k + fk + e
@@ -329,63 +333,67 @@ def _interleavings(rows, a: dict, b: dict, scalars) -> dict:
     The weights w(sigma) are products of entries of ``rows``, the table
     p(x, y)^{-1}; only the number protocol is used on them and on the
     coefficients of the term dicts ``a`` and ``b``, so a table and terms
-    of plain ints give the product over the integers.
+    of plain ints give the product over the integers.  :func:`_place`
+    places the shorter comonomial of each pair into the longer one.
     """
     cols = None
     out: dict = {}
     for u, cu in a.items():
         for v, cv in b.items():
-            if len(v) <= len(u):
-                add_terms(out, _leaves(u, v, rows, scalars, cu * cv, 0))
+            c = cu * cv
+            if not (u and v):
+                # nothing to place: the one interleaving u v, of energy 0
+                f = 1 if scalars is None else scalars[0]
+                if f:
+                    add_terms(out, ((u + v, c * f),))
+            elif len(v) <= len(u):
+                _place(out, u, v, rows, scalars, c, 0, 0, (), False)
             else:
                 # x of u placed after v[:s] pays p(v[:s], x)^{-1}: the same
                 # rule on the reversed words with p transposed; the energy
                 # table is symmetric, so only p is transposed
                 cols = cols or tuple(zip(*rows))
-                add_terms(out, ((z[::-1], c) for z, c in
-                                _leaves(v[::-1], u[::-1], cols, scalars, cu * cv, 0)))
+                _place(out, v[::-1], u[::-1], cols, scalars, c, 0, 0, (), True)
     return out
 
 
-def _leaves(base: tuple, ins: tuple, rows, scalars, c, e):
-    """(word, c times weight) for each placement of ins, in order, into
-    base; with scalars, times scalars[E] and only where that is nonzero.
-
-    A letter y placed before base[s:] weighs rows[y-1][z-1] for each
-    letter z of base[s:] and adds scalars.energy[y-1][z-1] to the energy
-    E, which starts at e.
-    """
-    if not ins:
-        if scalars is None:
-            yield base, c
-        else:
-            f = scalars[e]
-            if f:
-                yield base, c * f
-        return
-    y, rest = ins[0], ins[1:]
-    row = (None,) + rows[y - 1]
-    rbase = base[::-1]
-    if scalars is None:
-        energies = repeat(e)
-    else:
-        brow = (None,) + scalars.energy[y - 1]
-        energies = accumulate(map(brow.__getitem__, rbase), initial=e)
-    # s runs down from the end of base, one more letter of base[s:] per step
-    steps = zip(range(len(base), -1, -1),
-                accumulate(map(row.__getitem__, rbase), mul, initial=c), energies)
-    if rest:
-        for s, cs, es in steps:
-            for tail, ct in _leaves(base[s:], rest, rows, scalars, cs, es):
-                yield base[:s] + (y,) + tail, ct
-    elif scalars is None:
-        for s, cs, _ in steps:
-            yield base[:s] + (y,) + base[s:], cs
-    else:
-        for s, cs, es in steps:
-            f = scalars[es]
-            if f:
-                yield base[:s] + (y,) + base[s:], cs * f
+def _place(out: dict, base: tuple, ins: tuple, rows, scalars, c, e, lo, head, flip):
+    """Merges into ``out`` as add_terms does, in order, head + each
+    placement of the nonempty ins into base[lo:], reversed if flip.  The
+    first letter y takes the slots s from len(base) down to lo; before
+    base[s:] it multiplies c by rows[y-1][z-1] and, with scalars, adds
+    scalars.energy[y-1][z-1] to e for each letter z of base[s:].  The last
+    letter writes its words, times scalars[e] where that is nonzero, and
+    any other recurses with lo = s and head + base[lo:s] + (y,)."""
+    y, ins = ins[0], ins[1:]
+    row = rows[y - 1]
+    brow = None if scalars is None else scalars.energy[y - 1]
+    s = len(base)
+    full, shift = head + base[lo:], len(head) - lo
+    while True:
+        if ins:
+            _place(out, base, ins, rows, scalars, c, e, s, full[:s + shift] + (y,), flip)
+        elif brow is None or (f := scalars[e]):
+            w = c if brow is None else c * f
+            z = full[:s + shift] + (y,) + base[s:]
+            if flip:
+                z = z[::-1]
+            cur = out.get(z)
+            if cur is None:
+                out[z] = w
+            else:
+                cur = cur + w
+                if cur:
+                    out[z] = cur
+                else:
+                    del out[z]
+        if s == lo:
+            return
+        s -= 1
+        x = base[s] - 1
+        c *= row[x]
+        if brow is not None:
+            e += brow[x]
 
 
 def eval_word(datum: QuantumDatum, word: Sequence[int]) -> ShuffleElem:

@@ -752,8 +752,9 @@ def _products(datum: QuantumDatum, gens: list, budget: int, p: int):
 
     The exponents advance like an odometer: the next product takes one
     more copy of the last factor that still fits and drops the factors
-    after it, at the cost of one shuffle product of the image so far by
-    that factor.  ``degree[j]`` and ``image[j]`` belong to the product of
+    after it, at the cost of one pass of the interleaving loops of
+    :func:`qborel.shuffle._interleavings` over the image so far and that
+    factor.  ``degree[j]`` and ``image[j]`` belong to the product of
     the factors up to j.  The walk needs no recursion, and no closure,
     whose reference cycle would keep the images alive after it.
 

@@ -1,7 +1,8 @@
 import gc
 import weakref
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations, repeat
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -466,6 +467,135 @@ def test_leaf_scalars_are_computed_once_per_datum_and_factor(monkeypatch):
         assert alive() is None
     finally:
         gc.enable()
+
+
+def leaves_reference(base, ins, rows, scalars, c, e):
+    """(word, c times weight) for each placement of ins, in order, into
+    base; with scalars, times scalars[E] and only where that is nonzero:
+    the recursive generator that the loops of ``shuffle._place`` replace.
+
+    A letter y placed before base[s:] weighs rows[y-1][z-1] for each
+    letter z of base[s:] and adds scalars.energy[y-1][z-1] to the energy
+    E, which starts at e.
+    """
+    if not ins:
+        if scalars is None:
+            yield base, c
+        else:
+            f = scalars[e]
+            if f:
+                yield base, c * f
+        return
+    y, rest = ins[0], ins[1:]
+    row = (None,) + rows[y - 1]
+    rbase = base[::-1]
+    if scalars is None:
+        energies = repeat(e)
+    else:
+        brow = (None,) + scalars.energy[y - 1]
+        energies = accumulate(map(brow.__getitem__, rbase), initial=e)
+    # s runs down from the end of base, one more letter of base[s:] per step
+    steps = zip(range(len(base), -1, -1),
+                accumulate(map(row.__getitem__, rbase), mul, initial=c), energies)
+    for s, cs, es in steps:
+        for tail, ct in leaves_reference(base[s:], rest, rows, scalars, cs, es):
+            yield base[:s] + (y,) + tail, ct
+
+
+def interleavings_reference(rows, a, b, scalars):
+    """``shuffle._interleavings`` by the reference generator, merged by
+    add_terms."""
+    cols = None
+    out = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            if len(v) <= len(u):
+                add_terms(out, leaves_reference(u, v, rows, scalars, cu * cv, 0))
+            else:
+                cols = cols or tuple(zip(*rows))
+                add_terms(out, ((z[::-1], c) for z, c in
+                                leaves_reference(v[::-1], u[::-1], cols, scalars, cu * cv, 0)))
+    return out
+
+
+WALK_PRIME = _RANK_PRIMES[0]
+WALK_NUMERIC = make_datum("C", 3, "numeric")
+_walk_residue = verify._residue_map(WALK_NUMERIC, WALK_PRIME)
+# (datum, table, coefficient strategy) per scalar kind: the residue table
+# and rows of the pbw products mod p, Fractions at the numeric point, and
+# LaurentPolys over the multiparameter datum
+WALK_KINDS = {
+    "int": (WALK_NUMERIC, tuple(tuple(map(_walk_residue, row)) for row in WALK_NUMERIC._p_inv),
+            st.integers(1, WALK_PRIME - 1)),
+    "fraction": (WALK_NUMERIC, WALK_NUMERIC._p_inv,
+                 st.builds(Fraction, st.sampled_from((-3, -1, 1, 2, 5)), st.integers(1, 7))),
+    "laurent": (C3, C3._p_inv,
+                st.builds(lambda k, j, extra: C3.integer(k) * C3.q_power(j) + extra,
+                          st.sampled_from((-2, 1, 3)), st.integers(-2, 2),
+                          st.sampled_from((0, C3.q_power(1),
+                                           -LaurentPoly.var(C3.varset, C3.varset.names[-1]))))),
+}
+# rows of the pbw products mod p, each cut to at most three terms
+WALK_PBW_ROWS = [dict(list(row.items())[:3])
+                 for row in pbw_product_rows(WALK_NUMERIC, 4, WALK_PRIME)[2] if row]
+
+
+def walk_scalars(datum, name):
+    """None, or the leaf scalars 1 - factor q^E of the named factor: None
+    (E = 0 vanishes), q^-1 (E = 1) and q^2 (E = -2)."""
+    if name is None:
+        return None
+    return shuffle._LeafScalars(datum, {"1": None, "q^-1": datum.q_power(-1),
+                                        "q^2": datum.q_power(2)}[name])
+
+
+WALK_SCALARS = (None, "1", "q^-1", "q^2")
+
+
+def assert_walk_is_the_reference(kind, scalars_name, a, b):
+    datum, rows, _ = WALK_KINDS[kind]
+    scalars = walk_scalars(datum, scalars_name)
+    got = shuffle._interleavings(rows, a, b, scalars)
+    ref = interleavings_reference(rows, a, b, walk_scalars(datum, scalars_name))
+    assert got == ref
+    assert list(got) == list(ref)          # the key order is pinned
+    return scalars
+
+
+@given(st.sampled_from(sorted(WALK_KINDS)), st.sampled_from(WALK_SCALARS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_interleavings_walk_is_the_reference_generator(kind, scalars_name, data):
+    # operands of 1-3 terms over words of length 0-5 on either side, so
+    # both branches, inserted words of 0 to 5 letters and repeated letters
+    # of C_3's three physical letters all occur; int operands may be rows
+    # of the pbw products mod p
+    datum, _, coeffs = WALK_KINDS[kind]
+
+    def operand():
+        if kind == "int" and data.draw(st.booleans()):
+            return data.draw(st.sampled_from(WALK_PBW_ROWS))
+        words = st.lists(st.integers(1, datum.max_letter), max_size=5)
+        terms = data.draw(st.dictionaries(words.map(tuple), coeffs, min_size=1, max_size=3))
+        return {tuple(datum.physical(i) for i in z): c for z, c in terms.items()}
+
+    assert_walk_is_the_reference(kind, scalars_name, operand(), operand())
+
+
+@pytest.mark.parametrize("scalars_name", WALK_SCALARS)
+@pytest.mark.parametrize("kind", sorted(WALK_KINDS))
+def test_interleavings_walk_covers_every_placement_shape(kind, scalars_name):
+    # inserted words of 0, 1, 2 and 3 letters, with repeated letters, into
+    # the left operand (direct) and into the right one (transposed)
+    c, d = {"int": (12345, WALK_PRIME - 1), "fraction": (Fraction(-2, 3), Fraction(5)),
+            "laurent": (C3.q_power(1) + 2, C3.q_power(-2))}[kind]
+    long = {(1, 2, 1, 3): c, (3, 3, 2): d}
+    skipped = False
+    for short in ((), (2,), (1, 1), (3, 1, 3), (2, 2, 1)):
+        for a, b in (({short: c}, long), (long, {short: d}), ({short: d, (2, 3): c}, long)):
+            scalars = assert_walk_is_the_reference(kind, scalars_name, a, b)
+            skipped = skipped or scalars is not None and not all(scalars.values())
+    # every factor meets an energy whose scalar vanishes
+    assert skipped == (scalars_name is not None)
 
 
 # data whose p is a table of monic monomials, whose brackets run on packed
