@@ -12,6 +12,12 @@ fixed rational point.
 The datum also owns the folded letter alphabet x_1, ..., x_{2n-1} with
 x_i = x_{2n-i} and the distinguished ascending words v(k,m) (series A, C)
 and e(k,m), e'(k,m) (series D).
+
+It decides once whether p is a table of monic Laurent monomials or of
+Fractions, and builds there every per-letter table that the walks of
+qborel.shuffle and qborel.verify read, all in one layout: indexed by the
+physical letters 1..n, with None in row 0 and column 0, so that
+tuple(zip(*t)) is the transpose of a table t in the same layout.
 """
 
 from __future__ import annotations
@@ -83,12 +89,19 @@ def default_assignment(n: int, seed: int = 0) -> dict:
     return assignment
 
 
+def _letter_table(rows) -> tuple:
+    """The n x n table ``rows`` in the layout of the module docstring."""
+    rows = [(None,) + tuple(row) for row in rows]
+    return ((None,) * (len(rows) + 1), *rows)
+
+
 class QuantumDatum:
     """Immutable quantum datum; construct through :func:`make_datum`."""
 
     __slots__ = ("series", "n", "mode", "cartan", "d", "varset", "assignment",
-                 "p", "q", "_p_inv", "_b", "_index", "_p_keys", "_p_bound",
-                 "_p_fracs", "_q_pow", "_one", "_zero", "__weakref__")
+                 "p", "q", "_p_inv", "_b", "_index", "_inv_keys", "_inv_cols", "_step",
+                 "_p_bound", "_p_fracs", "_cross", "_tails", "_q_pow", "_leaf_scalars",
+                 "_one", "_zero", "__weakref__")
 
     def __init__(self, series, n, mode, cartan, d, varset, assignment, p, q):
         self.series = series
@@ -100,31 +113,41 @@ class QuantumDatum:
         self.assignment = assignment
         self.p = p
         self.q = q
-        self._p_inv = tuple(tuple(x ** -1 for x in row) for row in p)
+        inv = [[x ** -1 for x in row] for row in p]
+        self._p_inv = _letter_table(inv)
         # p(x, y) p(y, x) = q^{b(x, y)} with b(x, y) = d_x a_xy, symmetric
-        self._b = tuple(tuple(di * a for a in row) for di, row in zip(d, cartan))
-        # letter -> 0-based physical index by the fold i -> 2n - i above n;
-        # slot 0 is no letter
-        self._index = (None,) + tuple((i if i <= n else 2 * n - i) - 1
+        self._b = _letter_table([di * a for a in row] for di, row in zip(d, cartan))
+        # letter -> physical letter by the fold i -> 2n - i above n; 0 is none
+        self._index = (None,) + tuple(i if i <= n else 2 * n - i
                                       for i in range(1, self.max_letter + 1))
-        # the kind of the datum, decided here once: the packed keys of p
-        # when every entry is a monomial with coefficient 1 (the Laurent
-        # tables of make_datum), or the numerators and denominators of p
-        # when every entry is a Fraction (the numeric tables); the other
-        # stays None, and any other table is refused
-        self._p_keys = self._p_bound = self._p_fracs = None
+        # the kind of the datum, decided here once with its walk tables: for
+        # monic monomials (the Laurent tables of make_datum) the packed keys
+        # of p^-1, their transpose and step, a bound on the |exponent| one
+        # crossed pair adds to a key; for Fractions (the numeric tables) the
+        # numerators and denominators of p and the cleared tables C and A of
+        # qborel.shuffle.  The other kind's stay None; other tables are refused.
+        self._inv_keys = self._inv_cols = self._step = self._p_bound = None
+        self._p_fracs = self._cross = self._tails = None
         if all(isinstance(x, LaurentPoly) and list(x.terms.values()) == [1]
                for row in p for x in row):
-            self._p_keys = tuple(tuple(next(iter(x.terms)) for x in row) for row in p)
+            self._inv_keys = _letter_table([-next(iter(x.terms)) for x in row] for row in p)
+            self._inv_cols = tuple(zip(*self._inv_keys))
             self._p_bound = max(x._bound for row in p for x in row)
+            self._step = self._p_bound + max(abs(x) for row in self._b[1:] for x in row[1:])
         elif all(isinstance(x, Fraction) for row in p for x in row):
-            self._p_fracs = (tuple(tuple(x.numerator for x in row) for row in p),
-                             tuple(tuple(x.denominator for x in row) for row in p))
+            self._p_fracs = (_letter_table([x.numerator for x in row] for row in p),
+                             _letter_table([x.denominator for x in row] for row in p))
+            self._cross = _letter_table([x.denominator * y.denominator for x, y in zip(row, col)]
+                                        for row, col in zip(inv, zip(*inv)))
+            self._tails = _letter_table([x.numerator * y.denominator for x, y in zip(row, col)]
+                                        for row, col in zip(inv, zip(*inv)))
         else:
             raise ValueError("p must be a table of monic Laurent monomials "
                              "or a table of Fractions")
-        # exponent -> q ** exponent, filled on first use
+        # exponent -> q ** exponent, and factor -> the bracket scalars of
+        # qborel.shuffle, each filled on first use
         self._q_pow = {}
+        self._leaf_scalars = {}
         self._one = q ** 0
         self._zero = q * 0
         self._verify_relations()
@@ -171,7 +194,7 @@ class QuantumDatum:
     def physical(self, i: int) -> int:
         if not 0 < i < len(self._index):
             self.check_letter(i)
-        return self._index[i] + 1
+        return self._index[i]
 
     # -- bicharacter ---------------------------------------------------------
 
@@ -179,8 +202,8 @@ class QuantumDatum:
         return self.p[i - 1][j - 1]
 
     def _indices(self, letters: Sequence[int]) -> list:
-        """The 0-based physical index of each letter, IndexOutOfRange for
-        a letter outside 1..max_letter."""
+        """The physical letter of each letter, IndexOutOfRange for a
+        letter outside 1..max_letter."""
         # a letter below 1 would wrap the index tuple, so it is refused first
         try:
             if min(letters, default=1) > 0:
@@ -194,19 +217,19 @@ class QuantumDatum:
         """p(u, v), the product of p over all letter pairs: the one
         bicharacter product.  It depends only on the multidegrees.
 
-        Over a table of monic monomials the packed keys of the pairs are
-        summed into one monomial, and ExponentOutOfRange is raised where
-        that sum could pass EXP_LIMIT; over a rational table the numerators
-        and the denominators are multiplied as ints into one Fraction.
+        Over a table of monic monomials the packed keys of p^-1 over the
+        pairs are summed and negated into one monomial, ExponentOutOfRange
+        where that sum could pass EXP_LIMIT; over a rational table the
+        numerators and denominators are multiplied as ints into one Fraction.
         """
         rows, cols = self._indices(u), self._indices(v)
-        keys = self._p_keys
+        keys = self._inv_keys
         if keys is not None:
             bound = len(rows) * len(cols) * self._p_bound
             if bound > EXP_LIMIT:
                 raise ExponentOutOfRange(f"p(u, v) may reach exponent {bound}, "
                                          f"past +-{EXP_LIMIT}")
-            key = sum(sum(map(keys[i].__getitem__, cols)) for i in rows)
+            key = -sum(sum(map(keys[i].__getitem__, cols)) for i in rows)
             return _laurent(self.varset, {key: 1}, bound)
         nums, dens = self._p_fracs
         num = den = 1
@@ -223,7 +246,7 @@ class QuantumDatum:
         for i in letters:
             if not 0 < i < len(index):
                 self.check_letter(i)
-            deg[index[i]] += 1
+            deg[index[i] - 1] += 1
         return tuple(deg)
 
     # -- distinguished words ---------------------------------------------------

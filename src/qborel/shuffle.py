@@ -11,16 +11,18 @@ energy E (:func:`shuffle_bracket`), so the product and the bracket share
 one walk (:func:`_interleavings`).  It places each letter of the shorter
 comonomial by one loop over the slots of the longer, with the weight and
 the energy as running values, and adds each interleaving to the sum as
-it is built; the product tracks no energy.
+it is built; the product tracks no energy.  Every walk reads the tables
+that the datum builds once, indexed by physical letters.
 
 With v a single letter the product is the right letter product (w)(x_i) =
-sum_{uv=w} p(x_i, v)^{-1} (u x_i v), which keeps a loop of its own: the
-map x_i -> (x_i) extends through it to the evaluation homomorphism from
-free-algebra elements, an independent path for the cross-checks.  It is
-computed by grouping words on their last letter so that each letter
-product acts on an already merged sum (``eval_word`` keeps the
-word-by-word reference).  Since evaluation is a homomorphism, a bracket
-tree is evaluated bracket by bracket in the shuffle algebra instead.  The
+sum_{uv=w} p(x_i, v)^{-1} (u x_i v), the same walk with one letter to
+place.  The map x_i -> (x_i) extends through it to the evaluation
+homomorphism from free-algebra elements, computed by grouping words on
+their last letter so that each letter product acts on an already merged
+sum (``eval_word`` keeps the word-by-word reference); the grouped
+evaluation runs loops of its own (below), an independent path for the
+cross-checks.  Since evaluation is a homomorphism, a bracket tree is
+evaluated bracket by bracket in the shuffle algebra instead.  The
 braided coproduct is deconcatenation over all split points.
 
 Over rational data the evaluation runs on cleared int tables.  Write
@@ -70,7 +72,6 @@ could, the walk raises ``ExponentOutOfRange``.
 from __future__ import annotations
 
 import re
-import weakref
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm, prod
@@ -139,23 +140,25 @@ def comonomial_degree(z: tuple, n: int) -> tuple:
 
 
 def shuffle_letter_mul(datum: QuantumDatum, w: ShuffleElem, i: int) -> ShuffleElem:
-    """The right letter product (w)(x_i), per the split rule."""
-    phys = datum.physical(i)
-    return ShuffleElem._fresh(_letter_terms(w.terms, phys, (None,) + datum._p_inv[phys - 1]))
+    """The right letter product (w)(x_i), per the split rule: the shuffle
+    product with the one letter x_i, run as its walk (:func:`_place`)."""
+    x, rows, out = (datum.physical(i),), datum._p_inv, {}
+    for z, c in w.terms.items():
+        _place(out, z, x, rows, None, c, 0, 0, (), False)
+    return ShuffleElem._fresh(out)
 
 
-def _letter_terms(terms: dict, x: int, tail, head=None) -> dict:
+def _letter_terms(terms: dict, x: int, tail, head) -> dict:
     """The terms of (w)(x) for w with the given terms: z[:s] x z[s:] pays
-    tail[y] for each letter y of z[s:] and, with ``head``, head[y] for each
-    letter y of z[:s].  The letter product takes tail = p(x, -)^{-1}."""
+    tail[y] for each letter y of z[s:] and head[y] for each letter y of
+    z[:s].  The cleared evaluation takes tail = A_x and head = C_x."""
     out: dict = {}
     for z, c in terms.items():
         # s runs down from the end of z, one more letter of z[s:] per step
         ws = accumulate(map(tail.__getitem__, reversed(z)), mul, initial=c)
-        if head is not None:
-            heads = list(accumulate(map(head.__getitem__, z), mul, initial=1))
-            ws = map(mul, ws, reversed(heads))
-        add_terms(out, zip((z[:s] + (x,) + z[s:] for s in range(len(z), -1, -1)), ws))
+        heads = list(accumulate(map(head.__getitem__, z), mul, initial=1))
+        add_terms(out, zip((z[:s] + (x,) + z[s:] for s in range(len(z), -1, -1)),
+                           map(mul, ws, reversed(heads))))
     return out
 
 
@@ -197,31 +200,26 @@ def shuffle_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
     return _bracket(datum, a, b, factor, _one_pass_bracket)
 
 
-_leaf_scalars: "weakref.WeakKeyDictionary[QuantumDatum, dict]" = weakref.WeakKeyDictionary()
-_key_tables: "weakref.WeakKeyDictionary[QuantumDatum, tuple]" = weakref.WeakKeyDictionary()
-
-
 def _one_pass_bracket(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem,
                       factor) -> ShuffleElem:
-    if datum._p_keys is not None:
+    if datum._inv_keys is not None:
         if factor is None:
             return ShuffleElem._fresh(_keyed_bracket(datum, a.terms, b.terms, 0, 0))
         if (factor.__class__ is LaurentPoly and factor.vs is datum.varset
                 and len(factor.terms) == 1 and 1 in factor.terms.values()):
             return ShuffleElem._fresh(_keyed_bracket(datum, a.terms, b.terms,
                                                      next(iter(factor.terms)), factor._bound))
-    by_factor = _leaf_scalars.setdefault(datum, {})
-    scalars = by_factor.get(factor)
+    scalars = datum._leaf_scalars.get(factor)
     if scalars is None:
-        scalars = by_factor[factor] = _LeafScalars(datum, factor)
+        scalars = datum._leaf_scalars[factor] = _LeafScalars(datum, factor)
     return ShuffleElem._fresh(_interleavings(datum._p_inv, a.terms, b.terms, scalars))
 
 
 class _LeafScalars(dict):
     """1 - factor q^E by energy E, each computed on first use, and the
-    energy table b(x, y) that E sums; memoised per datum and factor, so it
-    holds q, one and the table but not the datum, which would keep itself
-    alive as a key of the weak memo."""
+    energy table b(x, y) that E sums.  A datum keeps one per factor, as it
+    keeps its powers of q; it holds q, one and the table but not the
+    datum, so that no reference cycle outlives the datum's last user."""
 
     def __init__(self, datum: QuantumDatum, factor):
         super().__init__()
@@ -235,16 +233,17 @@ class _LeafScalars(dict):
 
 def _keyed_bracket(datum: QuantumDatum, a: dict, b: dict, fk: int, fbound: int):
     """The terms of the bracket of :func:`shuffle_bracket` on packed keys
-    (module docstring), for the monic factor of key ``fk`` (0 for None)
-    and exponent bound ``fbound``; ExponentOutOfRange where the keys and
-    energies of the pairs could pass EXP_LIMIT.  A leaf adds c = c_u c_v
+    (module docstring), over the datum's key rows and columns, energies and
+    step, for the monic factor of key ``fk`` (0 for None) and exponent
+    bound ``fbound``; ExponentOutOfRange where the keys and energies of the
+    pairs could pass EXP_LIMIT.  A leaf adds c = c_u c_v
     shifted by K and -c shifted by K + fk + E into the int dict of its
     word, so every exponent stays within max |c| + ``reach`` <= 2
     EXP_LIMIT < 2^31.  As in add_terms, a term or a word that cancels is
     dropped at once, which keeps the words of a large bracket from piling
     up."""
-    rows, cols, energy, step = _tables(datum)
-    reach = max(map(len, a)) * max(map(len, b)) * step + fbound
+    rows, cols, energy = datum._inv_keys, datum._inv_cols, datum._b
+    reach = max(map(len, a)) * max(map(len, b)) * datum._step + fbound
     if reach > EXP_LIMIT:
         raise ExponentOutOfRange(f"a key may reach exponent {reach}, past +-{EXP_LIMIT}")
     vs, one = datum.varset, datum.one()
@@ -309,22 +308,6 @@ def _keyed_leaves(base: tuple, ins: tuple, rows, energy, fk: int, k: int, e: int
             e += brow[z]
 
 
-def _tables(datum: QuantumDatum) -> tuple:
-    """(rows, cols, energy, step) of a datum whose p is a table of monic
-    monomials, indexed by physical letters from 1: rows[y][z] the packed
-    key of p(y, z)^{-1}, cols its transpose, energy[y][z] = b(y, z), and
-    step a bound on the |exponent| one crossed pair adds to a key.  Built
-    once per datum; the tables hold ints only, not the datum."""
-    tables = _key_tables.get(datum)
-    if tables is None:
-        inv = [tuple(-k for k in row) for row in datum._p_keys]
-        rows, cols, energy = ((None,) + tuple((None,) + row for row in table)
-                              for table in (inv, zip(*inv), datum._b))
-        step = datum._p_bound + max(abs(x) for row in datum._b for x in row)
-        tables = _key_tables[datum] = (rows, cols, energy, step)
-    return tables
-
-
 def _interleavings(rows, a: dict, b: dict, scalars) -> dict:
     """The sum over comonomials u of a, v of b and interleavings sigma of
     c_u c_v w(sigma) sigma, each term times scalars[E(sigma)] unless
@@ -361,13 +344,13 @@ def _place(out: dict, base: tuple, ins: tuple, rows, scalars, c, e, lo, head, fl
     """Merges into ``out`` as add_terms does, in order, head + each
     placement of the nonempty ins into base[lo:], reversed if flip.  The
     first letter y takes the slots s from len(base) down to lo; before
-    base[s:] it multiplies c by rows[y-1][z-1] and, with scalars, adds
-    scalars.energy[y-1][z-1] to e for each letter z of base[s:].  The last
+    base[s:] it multiplies c by rows[y][z] and, with scalars, adds
+    scalars.energy[y][z] to e for each letter z of base[s:].  The last
     letter writes its words, times scalars[e] where that is nonzero, and
     any other recurses with lo = s and head + base[lo:s] + (y,)."""
     y, ins = ins[0], ins[1:]
-    row = rows[y - 1]
-    brow = None if scalars is None else scalars.energy[y - 1]
+    row = rows[y]
+    brow = None if scalars is None else scalars.energy[y]
     s = len(base)
     full, shift = head + base[lo:], len(head) - lo
     while True:
@@ -390,7 +373,7 @@ def _place(out: dict, base: tuple, ins: tuple, rows, scalars, c, e, lo, head, fl
         if s == lo:
             return
         s -= 1
-        x = base[s] - 1
+        x = base[s]
         c *= row[x]
         if brow is not None:
             e += brow[x]
@@ -416,13 +399,12 @@ def eval_free(datum: QuantumDatum, f: FreeElem) -> ShuffleElem:
     rational data it runs on the cleared int tables of the module
     docstring, and each output term is divided by L K(z) once.
     """
-    if datum._p_keys is not None:
+    if datum._inv_keys is not None:
         return ShuffleElem._fresh(_keyed_eval(datum, f.terms))
-    tables = _cleared_tables(datum)
     scale = lcm(*(c.denominator for c in f.terms.values()))
     ints = _eval_terms(datum, {w: c.numerator * (scale // c.denominator)
-                               for w, c in f.terms.items()}, tables)
-    cross, dens, out = tables[0], {}, {}
+                               for w, c in f.terms.items()})
+    cross, dens, out = datum._cross, {}, {}
     for z, c in ints.items():
         key = tuple(sorted(z))  # K(z) depends only on the letters of z
         d = dens.get(key)
@@ -432,10 +414,10 @@ def eval_free(datum: QuantumDatum, f: FreeElem) -> ShuffleElem:
     return ShuffleElem._fresh(out)
 
 
-def _eval_terms(datum: QuantumDatum, terms: dict, tables) -> dict:
+def _eval_terms(datum: QuantumDatum, terms: dict) -> dict:
     """The int terms of the image of the sum with the given int terms, on
-    the cleared ``tables`` (C, A) of a rational datum."""
-    cross, tails = tables
+    the cleared tables C and A of a rational datum."""
+    cross, tails = datum._cross, datum._tails
     out = {(): terms[()]} if () in terms else {}
     groups: dict = {}
     for w, c in terms.items():
@@ -443,7 +425,7 @@ def _eval_terms(datum: QuantumDatum, terms: dict, tables) -> dict:
             add_terms(groups.setdefault(datum.physical(w[-1]), {}), ((w[:-1], c),))
     for x, prefixes in groups.items():
         if prefixes:
-            img = _eval_terms(datum, prefixes, tables)
+            img = _eval_terms(datum, prefixes)
             add_terms(out, _letter_terms(img, x, tails[x], cross[x]).items())
     return out
 
@@ -463,11 +445,10 @@ def _keyed_eval(datum: QuantumDatum, terms: dict) -> dict:
         if len(w) > longest:
             longest = len(w)
         keyed[w] = c.terms
-    rows, _, _, step = _tables(datum)
-    bound += longest * longest * step
+    bound += longest * longest * datum._step
     if bound > EXP_LIMIT:
         raise ExponentOutOfRange(f"a key may reach exponent {bound}, past +-{EXP_LIMIT}")
-    out = _keyed_terms(datum.physical, rows, keyed)
+    out = _keyed_terms(datum.physical, datum._inv_keys, keyed)
     return {z: _laurent(vs, d, bound) for z, d in out.items()}
 
 
@@ -526,24 +507,6 @@ def _add_keyed(d: dict, terms: dict, k: int) -> dict:
         else:
             del d[x]
     return d
-
-
-_cleared: "weakref.WeakKeyDictionary[QuantumDatum, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _cleared_tables(datum: QuantumDatum) -> tuple:
-    """(C, A) of a rational datum, indexed by physical letters: with
-    p(x, y)^{-1} = a_xy / b_xy in lowest terms, C_xy = b_xy b_yx and
-    A_xy = a_xy b_yx.  Built once per datum."""
-    tables = _cleared.get(datum)
-    if tables is None:
-        inv = datum._p_inv
-        cross, tails = [None], [None]
-        for row, col in zip(inv, zip(*inv)):
-            cross.append((None,) + tuple(a.denominator * b.denominator for a, b in zip(row, col)))
-            tails.append((None,) + tuple(a.numerator * b.denominator for a, b in zip(row, col)))
-        tables = _cleared[datum] = (tuple(cross), tuple(tails))
-    return tables
 
 
 class BraidedTensor(LinComb):

@@ -41,7 +41,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .coeffring import EXP_LIMIT, ExponentOutOfRange, NonDivisible, add_terms, kronecker_form
-from .datum import QuantumDatum, make_datum, sigma, sigma_closed_form
+from .datum import QuantumDatum, _letter_table, make_datum, sigma, sigma_closed_form
 from .freeword import FreeElem, left_nested, right_nested, skew_bracket
 from .pbwgen import generator_image, is_pbw_interval, pbw_generators, tau_table
 from .shuffle import (BraidedTensor, ShuffleElem, _interleavings,
@@ -430,11 +430,12 @@ def _split_keys(datum: QuantumDatum, words: dict, k: int, m: int) -> dict:
     table of monic monomials, {} over any other table; like ``p_words``,
     raises ExponentOutOfRange where a key might pass EXP_LIMIT.
 
-    ``words`` memoises per interval (k, m) the physical indices of w(k,m)
-    and its column key sums col[a] = sum over b in w(k,m) of key(p_ab), so
-    each key is the sum of col over the letters of w(i+1,m).
+    ``words`` memoises per interval (k, m) the physical letters of w(k,m)
+    and its column key sums col[a] = sum over b in w(k,m) of the key of
+    p(a, b)^-1, indexed by physical letters as the datum's key rows are;
+    each key is minus the sum of col over the letters of w(i+1,m).
     """
-    if datum._p_keys is None:
+    if datum._inv_keys is None:
         return {}
     out = {}
     for i in range(k, m):
@@ -443,16 +444,16 @@ def _split_keys(datum: QuantumDatum, words: dict, k: int, m: int) -> dict:
         bound = len(left) * len(right) * datum._p_bound
         if bound > EXP_LIMIT:
             raise ExponentOutOfRange(f"p(u, v) may reach exponent {bound}, past +-{EXP_LIMIT}")
-        out[i] = sum(map(col.__getitem__, left))
+        out[i] = -sum(map(col.__getitem__, left))
     return out
 
 
 def _interval_keys(datum: QuantumDatum, words: dict, k: int, m: int) -> tuple:
-    """(physical indices of w(k,m), its column key sums), memoised in
+    """(physical letters of w(k,m), its column key sums), memoised in
     ``words``; see :func:`_split_keys`."""
     idx = tuple(map(datum._index.__getitem__, datum.series_word(k, m)))
-    out = words[(k, m)] = (idx, tuple(sum(map(row.__getitem__, idx))
-                                      for row in datum._p_keys))
+    out = words[(k, m)] = (idx, (None, *(sum(map(row.__getitem__, idx))
+                                         for row in datum._inv_keys[1:])))
     return out
 
 
@@ -758,11 +759,11 @@ def _products(datum: QuantumDatum, gens: list, budget: int, p: int):
     the factors up to j.  The walk needs no recursion, and no closure,
     whose reference cycle would keep the images alive after it.
 
-    The p^-1 table and the memoised rational generator images are mapped
-    once to their residues, dropping zero ones; each product is then taken
-    over the integers and reduced mod p, dropping its zero entries, before
-    a later product extends it.  Raises ``NonUnitModP`` before any image is
-    computed if the point does not reduce mod p.
+    The datum's p^-1 table, in its layout, and the memoised rational
+    generator images are mapped once to their residues, dropping zero ones;
+    each product is taken over the integers and reduced mod p, dropping its
+    zero entries, before a later product extends it.  Raises ``NonUnitModP``
+    before any image is computed if the point does not reduce mod p.
     """
     residue = _residue_map(datum, p)
     sizes = [g.degree for g in gens]
@@ -770,7 +771,7 @@ def _products(datum: QuantumDatum, gens: list, budget: int, p: int):
     factors = [{z: s for z, c in generator_image(datum, g.k, g.m).terms.items()
                 if (s := residue(c))} if size <= budget else None
                for g, size in zip(gens, sizes)]
-    table = tuple(tuple(map(residue, row)) for row in datum._p_inv)
+    table = _letter_table(map(residue, row[1:]) for row in datum._p_inv[1:])
     n = len(gens)
     combo, degree, image = [0] * n, [0] * n, [{(): 1}] * n
     while True:

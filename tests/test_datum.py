@@ -265,19 +265,65 @@ def test_q_power_is_memoised_per_datum(mode):
 
 
 def test_p_words_key_path_only_for_monic_monomial_tables():
-    assert all(d._p_keys is not None for d in KEY_PATH_DATA.values())
+    assert all(d._inv_keys is not None for d in KEY_PATH_DATA.values())
     numeric = make_datum("C", 3, "numeric")
-    assert numeric._p_keys is None
+    assert numeric._inv_keys is None
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_make_datum_decides_one_kind_per_mode(mode):
-    # the Laurent modes get the packed keys of p and the numeric mode its
-    # numerators and denominators, never both
+    # the Laurent modes get the key tables of p^-1 and the numeric mode the
+    # numerators and denominators of p and the cleared tables, never both
     for series, n in (("A", 3), ("C", 3), ("D", 4)):
         d = make_datum(series, n, mode)
-        assert (d._p_keys is None) == (mode == "numeric")
-        assert (d._p_fracs is None) == (mode != "numeric")
+        keyed = (d._inv_keys, d._inv_cols, d._step, d._p_bound)
+        rational = (d._p_fracs, d._cross, d._tails)
+        assert all((x is None) == (mode == "numeric") for x in keyed)
+        assert all((x is None) == (mode != "numeric") for x in rational)
+
+
+LAYOUT_DATA = {f"{series}{n}-{mode}": make_datum(series, n, mode)
+               for series, n in (("A", 3), ("C", 3), ("D", 4)) for mode in MODES}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_DATA))
+def test_walk_tables_share_one_physical_letter_layout(name):
+    # every per-letter table is indexed by physical letters 1..n with None
+    # in row 0 and column 0, so zip(*t) is its transpose in the same
+    # layout, and the walks read p(y, z)^-1 at (y, z): as a key, or as A/C
+    d = LAYOUT_DATA[name]
+    n, letters = d.n, range(1, d.n + 1)
+    keyed = d._inv_keys is not None
+    tables = [d._p_inv, d._b] + ([d._inv_keys, d._inv_cols] if keyed
+                                 else [*d._p_fracs, d._cross, d._tails])
+    for t in tables:
+        cols = tuple(zip(*t))
+        for table in (t, cols):
+            assert len(table) == n + 1 and all(len(row) == n + 1 for row in table)
+            assert set(table[0]) == {None} and {row[0] for row in table} == {None}
+        assert all(cols[z][y] == t[y][z] for y in letters for z in letters)
+    for y in letters:
+        for z in letters:
+            inv = d.p[y - 1][z - 1] ** -1
+            assert d._p_inv[y][z] == inv
+            assert d._b[y][z] == d._b[z][y] == d.d[y - 1] * d.cartan[y - 1][z - 1]
+            if keyed:
+                assert inv.terms == {d._inv_keys[y][z]: 1} == {d._inv_cols[z][y]: 1}
+            else:
+                assert Fraction(d._tails[y][z], d._cross[y][z]) == inv
+                assert d._cross[y][z] == d._cross[z][y]
+                assert Fraction(d._p_fracs[0][y][z], d._p_fracs[1][y][z]) == d.p[y - 1][z - 1]
+    # p_words over the letter pairs, folded letters included
+    every = tuple(range(1, d.max_letter + 1))
+    row = {a: (a if a <= n else 2 * n - a) - 1 for a in every}
+    pairs = [((a,), (b,)) for a in every for b in every] + [(every, every[::-1]),
+                                                          (every[-2:], every[:3])]
+    for u, v in pairs:
+        want = d.one()
+        for a in u:
+            for b in v:
+                want = want * d.p[row[a]][row[b]]
+        assert d.p_words(u, v) == want
 
 
 def with_table(d, p):

@@ -84,6 +84,14 @@ def test_shuffle_mul_is_the_sum_over_positions(datum):
         got = shuffle_mul(datum, a, b)
         assert got == brute_shuffle_mul(datum, a, b)
         assert all(got.terms.values())
+    # the letter product is the product with one letter, folded or not,
+    # with its values and its key order
+    for a in (short, mixed, long):
+        for i in (1, 2 * datum.n - 1):
+            x = ShuffleElem.letter(datum, i)
+            got = shuffle_letter_mul(datum, a, i)
+            assert got == brute_shuffle_mul(datum, a, x)
+            assert list(got.terms.items()) == list(shuffle_mul(datum, a, x).terms.items())
 
 
 def test_letter_mul_empty():
@@ -327,18 +335,22 @@ def test_rational_eval_free_is_the_fraction_walk(name, data):
 
 
 def test_only_rational_data_build_the_cleared_tables(monkeypatch):
-    built = []
-    real = shuffle._cleared_tables
-    monkeypatch.setattr(shuffle, "_cleared_tables",
-                        lambda datum: built.append(datum) or real(datum))
+    # a symbolic datum has no cleared tables and its evaluation never walks
+    # them; a rational one walks the tables its constructor built
+    walked = []
+    real = shuffle._eval_terms
+    monkeypatch.setattr(shuffle, "_eval_terms",
+                        lambda datum, terms: walked.append(datum) or real(datum, terms))
     numeric = make_datum("C", 3, "numeric")
     f = skew_bracket(C3, FreeElem.letter(C3, 1), FreeElem.letter(C3, 2))
     for datum in (C3, make_datum("C", 3, "one-parameter")):
+        assert datum._cross is None and datum._tails is None
         g = FreeElem({w: datum.integer(2) for w in f.terms})
         assert eval_free(datum, g) == eval_by_words(datum, g)
-    assert built == []
+    assert walked == []
+    assert numeric._cross is not None and numeric._tails is not None
     eval_free(numeric, FreeElem.letter(numeric, 1))
-    assert built == [numeric]
+    assert walked and set(walked) == {numeric}
 
 
 @given(st.sampled_from(sorted(ORACLE_DATA)), st.data())
@@ -439,9 +451,9 @@ def test_one_pass_bracket_skips_every_vanishing_energy():
 
 
 def test_leaf_scalars_are_computed_once_per_datum_and_factor(monkeypatch):
-    # 1 - factor q^E is memoised per (datum, factor) across brackets, and
-    # its memo leaves the datum collectable; only data whose p is not a
-    # table of monic monomials walk these scalars, so the datum is numeric
+    # 1 - factor q^E is kept on the datum per factor across brackets, and
+    # leaves the datum collectable; only data whose p is not a table of
+    # monic monomials walk these scalars, so the datum is numeric
     calls = []
     real = shuffle._LeafScalars.__missing__
 
@@ -474,9 +486,9 @@ def leaves_reference(base, ins, rows, scalars, c, e):
     base; with scalars, times scalars[E] and only where that is nonzero:
     the recursive generator that the loops of ``shuffle._place`` replace.
 
-    A letter y placed before base[s:] weighs rows[y-1][z-1] for each
-    letter z of base[s:] and adds scalars.energy[y-1][z-1] to the energy
-    E, which starts at e.
+    A letter y placed before base[s:] weighs rows[y][z] for each letter z
+    of base[s:] and adds scalars.energy[y][z] to the energy E, which
+    starts at e.
     """
     if not ins:
         if scalars is None:
@@ -487,12 +499,12 @@ def leaves_reference(base, ins, rows, scalars, c, e):
                 yield base, c * f
         return
     y, rest = ins[0], ins[1:]
-    row = (None,) + rows[y - 1]
+    row = rows[y]
     rbase = base[::-1]
     if scalars is None:
         energies = repeat(e)
     else:
-        brow = (None,) + scalars.energy[y - 1]
+        brow = scalars.energy[y]
         energies = accumulate(map(brow.__getitem__, rbase), initial=e)
     # s runs down from the end of base, one more letter of base[s:] per step
     steps = zip(range(len(base), -1, -1),
@@ -525,7 +537,8 @@ _walk_residue = verify._residue_map(WALK_NUMERIC, WALK_PRIME)
 # and rows of the pbw products mod p, Fractions at the numeric point, and
 # LaurentPolys over the multiparameter datum
 WALK_KINDS = {
-    "int": (WALK_NUMERIC, tuple(tuple(map(_walk_residue, row)) for row in WALK_NUMERIC._p_inv),
+    "int": (WALK_NUMERIC, tuple(tuple(x and _walk_residue(x) for x in row)
+                                for row in WALK_NUMERIC._p_inv),
             st.integers(1, WALK_PRIME - 1)),
     "fraction": (WALK_NUMERIC, WALK_NUMERIC._p_inv,
                  st.builds(Fraction, st.sampled_from((-3, -1, 1, 2, 5)), st.integers(1, 7))),
@@ -833,17 +846,16 @@ def test_symbolic_suites_walk_only_packed_keys(monkeypatch, capsys, series, rank
 
 
 def test_key_tables_are_built_once_per_datum(monkeypatch):
-    # the packed-key tables are memoised per datum, hold no reference to
-    # it, and leave it collectable
-    built = []
-    real = shuffle._tables
+    # every keyed bracket walks the key rows and columns that the datum's
+    # constructor built, which hold ints only and leave it collectable
+    walked = set()
+    real = shuffle._keyed_leaves
 
-    def spy(datum):
-        if datum not in shuffle._key_tables:
-            built.append(datum.series)
-        return real(datum)
+    def spy(base, ins, rows, *rest):
+        walked.add(id(rows))
+        return real(base, ins, rows, *rest)
 
-    monkeypatch.setattr(shuffle, "_tables", spy)
+    monkeypatch.setattr(shuffle, "_keyed_leaves", spy)
     gc.collect()
     gc.disable()
     try:
@@ -851,10 +863,10 @@ def test_key_tables_are_built_once_per_datum(monkeypatch):
         alive = weakref.ref(d)
         for factor in (None, d.q_power(-1)):
             shuffle_bracket(d, mono(d, (1,)), mono(d, (1, 2)), factor)
-            shuffle_bracket(d, mono(d, (2,)), mono(d, (1, 2)), factor)
-        assert built == ["C"]
-        rows, cols, energy, step = shuffle._key_tables[d]
-        assert all(type(x) is int for table in (rows, cols, energy)
+            shuffle_bracket(d, mono(d, (1, 2)), mono(d, (2,)), factor)
+        assert walked == {id(d._inv_keys), id(d._inv_cols)}
+        assert type(d._step) is int
+        assert all(type(x) is int for table in (d._inv_keys, d._inv_cols, d._b)
                    for row in table[1:] for x in row[1:])
         del d, factor
         assert alive() is None

@@ -406,7 +406,7 @@ def test_split_keys_are_the_keys_of_p_words(series, n, mode):
     assert bool(words) == (mode != "numeric")
 
 
-def test_split_keys_decline_past_the_exponent_range():
+def test_split_keys_refuse_past_the_exponent_range():
     # with p_12 = t_1_2^(2^28) a split of 4 letter pairs or more may sum
     # past EXP_LIMIT, so its key is refused as p_words refuses its monomial
     c3 = make_datum("C", 3)
@@ -430,8 +430,8 @@ def test_split_keys_decline_past_the_exponent_range():
 
 
 def test_coproduct_memos_leave_the_datum_collectable():
-    # the memos of forms and of bracket scalars are weakly keyed by the
-    # datum, and none of their values refers back to it
+    # the memos of forms are weakly keyed by the datum, the bracket scalars
+    # are kept on it, and none of their values refers back to it
     gc.collect()
     gc.disable()
     try:
