@@ -18,6 +18,13 @@ Fractions, and builds there every per-letter table that the walks of
 qborel.shuffle and qborel.verify read, all in one layout: indexed by the
 physical letters 1..n, with None in row 0 and column 0, so that
 tuple(zip(*t)) is the transpose of a table t in the same layout.
+
+It owns every per-datum memo, each created empty and filled on first use by
+the one module that knows its format: the powers of q (_q_pow, here), the
+bracket scalars (_leaf_scalars, qborel.shuffle), the generator images and
+their chains (_images, _chains, qborel.pbwgen), the Serre chains and the
+split forms (_serre, _forms, qborel.verify).  No memo value refers back to
+the datum, so each memo dies with it.
 """
 
 from __future__ import annotations
@@ -101,7 +108,7 @@ class QuantumDatum:
     __slots__ = ("series", "n", "mode", "cartan", "d", "varset", "assignment",
                  "p", "q", "_p_inv", "_b", "_index", "_inv_keys", "_inv_cols", "_step",
                  "_p_bound", "_p_fracs", "_cross", "_tails", "_q_pow", "_leaf_scalars",
-                 "_one", "_zero", "__weakref__")
+                 "_images", "_chains", "_serre", "_forms", "_one", "_zero", "__weakref__")
 
     def __init__(self, series, n, mode, cartan, d, varset, assignment, p, q):
         self.series = series
@@ -144,10 +151,15 @@ class QuantumDatum:
         else:
             raise ValueError("p must be a table of monic Laurent monomials "
                              "or a table of Fractions")
-        # exponent -> q ** exponent, and factor -> the bracket scalars of
-        # qborel.shuffle, each filled on first use
+        # the memos (module docstring), filled on first use: _q_pow here, _leaf_scalars
+        # by shuffle, _images and _chains by pbwgen, and by verify _serre and _forms,
+        # each a list of its one record
         self._q_pow = {}
         self._leaf_scalars = {}
+        self._images = {}
+        self._chains = {}
+        self._serre = []
+        self._forms = []
         self._one = q ** 0
         self._zero = q * 0
         self._verify_relations()

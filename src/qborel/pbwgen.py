@@ -21,7 +21,6 @@ zero element.
 
 from __future__ import annotations
 
-import weakref
 from functools import cmp_to_key
 from typing import NamedTuple
 
@@ -109,23 +108,17 @@ def closed_form_image(datum: QuantumDatum, k: int, m: int) -> ShuffleElem:
     return ShuffleElem.comonomial(datum, rev, a)
 
 
-_image_cache: "weakref.WeakKeyDictionary[QuantumDatum, dict]" = \
-    weakref.WeakKeyDictionary()
-_chain_cache: "weakref.WeakKeyDictionary[QuantumDatum, dict]" = \
-    weakref.WeakKeyDictionary()
-
-
 def generator_image(datum: QuantumDatum, k: int, m: int) -> ShuffleElem:
     """Shuffle image of pbw_bracketing(k, m), computed bracket by bracket.
 
     The bracketed word is built from shuffle letters with shuffle_bracket,
     [E, x] -> E * (x) - p(E, x) (x) * E, so no free-algebra element is
     expanded.  Agrees with eval_free(pbw_bracketing(k, m)) exactly (tested).
-    Images are memoized per datum (values are immutable, so sharing is
+    Images are memoised on the datum (values are immutable, so sharing is
     safe), and so are the nested chains under them (:func:`_shuffle_chain`),
     so a new image costs one bracket when its shorter chain is known.
     """
-    cache = _image_cache.setdefault(datum, {})
+    cache = datum._images
     if (k, m) not in cache:
         cache[(k, m)] = bracketed_word(datum, k, m, shuffle_bracket,
                                        _shuffle_chain)
@@ -134,7 +127,7 @@ def generator_image(datum: QuantumDatum, k: int, m: int) -> ShuffleElem:
 
 def _shuffle_chain(datum: QuantumDatum, word, right: bool) -> ShuffleElem:
     """The left-nested (right-nested if ``right``) chain of the shuffle
-    letters of ``word``, memoized per datum by its physical letters.
+    letters of ``word``, memoised on the datum by its physical letters.
 
     A left chain [[.[y_1, y_2].], y_l] grows from its longest known prefix
     with [chain, y]; a right chain [y_1, [.[y_{l-1}, y_l].]] grows from its
@@ -143,7 +136,7 @@ def _shuffle_chain(datum: QuantumDatum, word, right: bool) -> ShuffleElem:
     the prefix of a chain need not be an interval's word.  The loop keeps
     the stack depth independent of the rank.
     """
-    chains = _chain_cache.setdefault(datum, {})
+    chains = datum._chains
     key = tuple(datum.physical(i) for i in word)
     if right:
         key = key[::-1]

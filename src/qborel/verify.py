@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import random
 import time
-import weakref
 from functools import partial, reduce
 from itertools import permutations
 from typing import NamedTuple
@@ -137,29 +136,27 @@ def verify_sigma_closed_form(datum: QuantumDatum) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # Serre relations
-_chains: "weakref.WeakKeyDictionary[QuantumDatum, tuple]" = weakref.WeakKeyDictionary()
-
 
 def _serre_chains(datum: QuantumDatum) -> tuple:
-    """(name, u, w) for every defining relation [u, w], memoised per datum.
+    """(name, u, w) of each defining relation [u, w], memoised on the datum.
 
     For every ordered pair i != j with c = 1 - a_ji copies of x_j: the
     left-nested chain [...[[x_i,x_j],x_j],...,x_j], then, when c > 1, the
     right-nested chain [x_j,[x_j,...,[x_j,x_i]...]]; for orthogonal pairs the
     chain is the plain bracket [x_i,x_j].
     """
-    if datum in _chains:
-        return _chains[datum]
-    chains = []
-    for i, j in permutations(range(1, datum.n + 1), 2):
-        cnt = 1 - datum.cartan[j - 1][i - 1]
-        xi, xj = FreeElem.letter(datum, i), FreeElem.letter(datum, j)
-        chains.append(("[" * cnt + f"x{i}" + f",x{j}]" * cnt,
-                       left_nested(datum, [xi] + [xj] * (cnt - 1)), xj))
-        if cnt > 1:
-            chains.append((f"[x{j}," * cnt + f"x{i}" + "]" * cnt,
-                           xj, right_nested(datum, [xj] * (cnt - 1) + [xi])))
-    return _chains.setdefault(datum, tuple(chains))
+    if not datum._serre:
+        chains = []
+        for i, j in permutations(range(1, datum.n + 1), 2):
+            cnt = 1 - datum.cartan[j - 1][i - 1]
+            xi, xj = FreeElem.letter(datum, i), FreeElem.letter(datum, j)
+            chains.append(("[" * cnt + f"x{i}" + f",x{j}]" * cnt,
+                           left_nested(datum, [xi] + [xj] * (cnt - 1)), xj))
+            if cnt > 1:
+                chains.append((f"[x{j}," * cnt + f"x{i}" + "]" * cnt,
+                               xj, right_nested(datum, [xj] * (cnt - 1) + [xi])))
+        datum._serre.append(tuple(chains))
+    return datum._serre[0]
 
 
 def serre_relations(datum: QuantumDatum) -> list:
@@ -394,9 +391,6 @@ def coproduct_formula(datum: QuantumDatum, k: int, m: int,
 
 
 _FORM_BITS = 128  # B: Kronecker forms are read at q = 2^B
-# per datum: the image forms, the gamma forms by tau, the interval words of
-# _split_keys and 1 - q^-1
-_forms: "weakref.WeakKeyDictionary[QuantumDatum, tuple]" = weakref.WeakKeyDictionary()
 
 
 def _image_forms(datum: QuantumDatum, memo: dict, k: int, m: int, bits: int) -> dict:
@@ -471,14 +465,14 @@ def _split_sum_holds(datum: QuantumDatum, k: int, m: int) -> bool:
     product per pair: gamma_i's form is that of tau_i (1 - q^-1), memoised
     per tau, shifted by the packed key of the monic monomial p(w(i+1,m),
     w(k,i)) (:func:`_split_keys`, which raises ExponentOutOfRange where that
-    key might pass EXP_LIMIT), and the forms of the images are memoised per
-    datum.  Where the forms do not decide, the scalars are multiplied.
+    key might pass EXP_LIMIT), and the forms of the images are memoised on
+    the datum.  Where the forms do not decide, the scalars are multiplied.
     """
     bits = _FORM_BITS
-    memo = _forms.get(datum)
-    if memo is None:
-        memo = _forms[datum] = ({}, {}, {}, datum.one() - datum.q_power(-1))
-    images, gammas, words, qfac = memo
+    # on the datum: image forms, gamma forms by tau, _split_keys' words, 1 - q^-1
+    if not datum._forms:
+        datum._forms.append(({}, {}, {}, datum.one() - datum.q_power(-1)))
+    images, gammas, words, qfac = datum._forms[0]
     actual = braided_coproduct(generator_image(datum, k, m), reduced=True).terms
     whole = _image_forms(datum, images, k, m, bits)
     reached = set()

@@ -1,7 +1,10 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
+import weakref
 from types import SimpleNamespace
 from unittest import mock
 from fractions import Fraction
@@ -262,6 +265,20 @@ def test_q_power_is_memoised_per_datum(mode):
     for e in range(-3, 4):
         assert d.q_power(e) == d.q ** e
         assert d.q_power(e) is d.q_power(e)
+
+
+def test_no_module_holds_per_datum_state():
+    # every per-datum memo is a slot of the datum, created empty, so no
+    # module of qborel keeps a weak mapping of data of its own
+    weak = (weakref.WeakKeyDictionary, weakref.WeakValueDictionary)
+    modules = [qborel] + [importlib.import_module(info.name)
+                          for info in pkgutil.walk_packages(qborel.__path__, "qborel.")]
+    assert len(modules) > 5
+    for module in modules:
+        held = [name for name, value in vars(module).items() if isinstance(value, weak)]
+        assert not held, (module.__name__, held)
+    d = make_datum("C", 3)
+    assert not any((d._q_pow, d._leaf_scalars, d._images, d._chains, d._serre, d._forms))
 
 
 def test_p_words_key_path_only_for_monic_monomial_tables():

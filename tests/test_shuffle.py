@@ -1,5 +1,3 @@
-import gc
-import weakref
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, repeat
 from operator import mul
@@ -450,7 +448,7 @@ def test_one_pass_bracket_skips_every_vanishing_energy():
             assert len(got.terms) == words and all(got.terms.values())
 
 
-def test_leaf_scalars_are_computed_once_per_datum_and_factor(monkeypatch):
+def test_leaf_scalars_are_computed_once_per_datum_and_factor(monkeypatch, refcount_ref):
     # 1 - factor q^E is kept on the datum per factor across brackets, and
     # leaves the datum collectable; only data whose p is not a table of
     # monic monomials walk these scalars, so the datum is numeric
@@ -462,23 +460,18 @@ def test_leaf_scalars_are_computed_once_per_datum_and_factor(monkeypatch):
         return real(self, e)
 
     monkeypatch.setattr(shuffle._LeafScalars, "__missing__", spy)
-    gc.collect()
-    gc.disable()
-    try:
-        d = make_datum("C", 3, "numeric")
-        alive = weakref.ref(d)
-        for factor in (None, d.q_power(-1)):
-            a, b = mono(d, (1,)), mono(d, (1, 2))
-            first = shuffle_bracket(d, a, b, factor)
-            seen = len(calls)
-            assert shuffle_bracket(d, a, b, factor) == first
-            assert len(calls) == seen
-            shuffle_bracket(d, mono(d, (2,)), mono(d, (1, 2)), factor)
-        assert calls and len(set(calls)) == len(calls)
-        del d, factor
-        assert alive() is None
-    finally:
-        gc.enable()
+    d = make_datum("C", 3, "numeric")
+    alive = refcount_ref(d)
+    for factor in (None, d.q_power(-1)):
+        a, b = mono(d, (1,)), mono(d, (1, 2))
+        first = shuffle_bracket(d, a, b, factor)
+        seen = len(calls)
+        assert shuffle_bracket(d, a, b, factor) == first
+        assert len(calls) == seen
+        shuffle_bracket(d, mono(d, (2,)), mono(d, (1, 2)), factor)
+    assert calls and len(set(calls)) == len(calls)
+    del d, factor
+    assert alive() is None
 
 
 def leaves_reference(base, ins, rows, scalars, c, e):
@@ -845,7 +838,7 @@ def test_symbolic_suites_walk_only_packed_keys(monkeypatch, capsys, series, rank
     assert all(walks.values()), walks
 
 
-def test_key_tables_are_built_once_per_datum(monkeypatch):
+def test_key_tables_are_built_once_per_datum(monkeypatch, refcount_ref):
     # every keyed bracket walks the key rows and columns that the datum's
     # constructor built, which hold ints only and leave it collectable
     walked = set()
@@ -856,22 +849,17 @@ def test_key_tables_are_built_once_per_datum(monkeypatch):
         return real(base, ins, rows, *rest)
 
     monkeypatch.setattr(shuffle, "_keyed_leaves", spy)
-    gc.collect()
-    gc.disable()
-    try:
-        d = make_datum("C", 3)
-        alive = weakref.ref(d)
-        for factor in (None, d.q_power(-1)):
-            shuffle_bracket(d, mono(d, (1,)), mono(d, (1, 2)), factor)
-            shuffle_bracket(d, mono(d, (1, 2)), mono(d, (2,)), factor)
-        assert walked == {id(d._inv_keys), id(d._inv_cols)}
-        assert type(d._step) is int
-        assert all(type(x) is int for table in (d._inv_keys, d._inv_cols, d._b)
-                   for row in table[1:] for x in row[1:])
-        del d, factor
-        assert alive() is None
-    finally:
-        gc.enable()
+    d = make_datum("C", 3)
+    alive = refcount_ref(d)
+    for factor in (None, d.q_power(-1)):
+        shuffle_bracket(d, mono(d, (1,)), mono(d, (1, 2)), factor)
+        shuffle_bracket(d, mono(d, (1, 2)), mono(d, (2,)), factor)
+    assert walked == {id(d._inv_keys), id(d._inv_cols)}
+    assert type(d._step) is int
+    assert all(type(x) is int for table in (d._inv_keys, d._inv_cols, d._b)
+               for row in table[1:] for x in row[1:])
+    del d, factor
+    assert alive() is None
 
 
 def test_shuffle_bracket_needs_homogeneous_operands():

@@ -1,8 +1,6 @@
 import copy
-import gc
 import json
 import sys
-import weakref
 
 import pytest
 from hypothesis import assume, given, settings
@@ -54,7 +52,7 @@ def test_serre_numeric():
     assert verify_serre(d5).passed
 
 
-def test_serre_chains_are_built_once_per_datum():
+def test_serre_chains_are_built_once_per_datum(refcount_ref):
     # the chains are memoised per datum; serre and the identity suite read
     # the same cases from a cold and a warm memo, and from a fresh datum
     def reports(d):
@@ -69,16 +67,11 @@ def test_serre_chains_are_built_once_per_datum():
     verify._serre_chains(d4)
     assert reports(d4) == reports(d4) == cold
     assert all(passed for _, passed, _ in cold)
-    gc.collect()
-    gc.disable()
-    try:
-        d = make_datum("C", 3)
-        alive = weakref.ref(d)
-        reports(d)
-        del d
-        assert alive() is None
-    finally:
-        gc.enable()
+    d = make_datum("C", 3)
+    alive = refcount_ref(d)
+    reports(d)
+    del d
+    assert alive() is None
 
 
 @pytest.mark.parametrize("d", [C3, D4], ids=lambda d: f"{d.series}{d.n}")
@@ -286,10 +279,11 @@ def test_assert_first_case_matches_discover_under_planted_faults(monkeypatch, d)
 @pytest.mark.parametrize("d", [C3, D4], ids=lambda d: f"{d.series}{d.n}")
 def test_planted_faults_with_forms_read_at_q_16(monkeypatch, d):
     # at B = 4 the l1 bound fails on most pairs, so they take the scalar
-    # product; the memo of forms read at B = 128 is set aside
+    # product; a fresh datum, since d keeps the forms other tests read at
+    # B = 128 in its memo
     monkeypatch.setattr(verify, "_FORM_BITS", 4)
-    monkeypatch.setattr(verify, "_forms", weakref.WeakKeyDictionary())
-    test_assert_first_case_matches_discover_under_planted_faults(monkeypatch, d)
+    test_assert_first_case_matches_discover_under_planted_faults(
+        monkeypatch, make_datum(d.series, d.n))
 
 
 def _record_form_verdicts(monkeypatch) -> list:
@@ -429,19 +423,21 @@ def test_split_keys_refuse_past_the_exponent_range():
             assert big.p_words(big.series_word(i + 1, m), big.series_word(k, i)).terms == {key: 1}
 
 
-def test_coproduct_memos_leave_the_datum_collectable():
-    # the memos of forms are weakly keyed by the datum, the bracket scalars
-    # are kept on it, and none of their values refers back to it
-    gc.collect()
-    gc.disable()
-    try:
-        d = make_datum("D", 4)
-        alive = weakref.ref(d)
-        assert verify_coproducts(d).passed
-        del d
-        assert alive() is None
-    finally:
-        gc.enable()
+@pytest.mark.parametrize("mode", ["multiparameter", "numeric"])
+@pytest.mark.parametrize("series, n", [("C", 3), ("D", 4)])
+def test_every_memo_dies_with_its_datum(refcount_ref, series, n, mode):
+    # every suite and a discover pass fill each memo the datum owns: the
+    # images, both kinds of chains, the forms, the bracket scalars and the
+    # powers of q; none of their values refers back to the datum
+    d = make_datum(series, n, mode)
+    alive = refcount_ref(d)
+    assert all(r.passed for r in run_suites(d, "all", count=2))
+    coproduct_formula(d, 1, 3, "discover")
+    assert all((d._images, d._chains, d._serre, d._forms, d._q_pow))
+    # only a rational datum walks the bracket scalars
+    assert bool(d._leaf_scalars) == (mode == "numeric")
+    del d
+    assert alive() is None
 
 
 def test_tau_table_vanishes_exactly_at_a_vanishing_split():
@@ -615,19 +611,14 @@ def test_pbw_rows_refuse_non_units():
         pbw_product_rows(make_datum("C", 2), 2, prime)
 
 
-def test_pbw_rows_leave_no_reference_cycle():
+def test_pbw_rows_leave_no_reference_cycle(refcount_ref):
     # a cycle would keep the rows, and the datum with its image memo, alive
     # until the cyclic collector runs
-    gc.collect()
-    gc.disable()
-    try:
-        d = make_datum("C", 2, "numeric")
-        alive = weakref.ref(d)
-        rows = pbw_product_rows(d, 3, _RANK_PRIMES[0])
-        del d, rows
-        assert alive() is None
-    finally:
-        gc.enable()
+    d = make_datum("C", 2, "numeric")
+    alive = refcount_ref(d)
+    rows = pbw_product_rows(d, 3, _RANK_PRIMES[0])
+    del d, rows
+    assert alive() is None
 
 
 @pytest.mark.parametrize("series, n, degree", [("D", 4, 5), ("C", 3, 6)])
