@@ -302,12 +302,11 @@ class LaurentPoly:
         coefficient divides exactly as it is taken.
 
         Once the quotient has as many terms as the dividend, the operands
-        are compared at every variable 1 and at every variable -1, where a
-        quotient takes integer values.  That rejects pairs such as
-        (q^N + 2) / (q + 1) after two steps instead of N; short quotients,
-        the common case, never pay for it.  Other non-divisible pairs may
-        still take time linear in the exponents, e.g.
-        (q^N + 2) / (q^2 + q + 1).
+        are compared at every variable 1 and at every variable -1, and the
+        shifted operands at every variable 2, where a quotient takes integer
+        values.  That rejects pairs such as (q^N + 2) / (q + 1) and
+        (q^N + 2) / (q^2 + q + 1) after two steps instead of N; short
+        quotients, the common case, never pay for it.
         """
         b = self._coerce(b)
         if b is NotImplemented:
@@ -356,7 +355,7 @@ class LaurentPoly:
                 raise NonDivisible("quotient has non-integer coefficients")
             quo[d] = f
             if len(quo) == len(a_exps):
-                _check_values_at_ones(a_exps, b_exps)
+                _check_values(a_exps, b_exps, sum(sa), sum(sb))
             add_terms(rem, ((tuple(map(add, d, eb)), -f * cb) for eb, cb in bshift.items()))
         shift = tuple(map(sub, sa, sb))
         return LaurentPoly(self.vs, {tuple(map(add, e, shift)): f for e, f in quo.items()})
@@ -468,15 +467,29 @@ def _render_qpoly(qpoly: Mapping[int, int]) -> str:
     return out
 
 
-def _check_values_at_ones(a_exps: dict, b_exps: dict) -> None:
+# the largest total degree of b' for which the value check of div_exact takes b'(2)
+_VALUE_BITS = 4096
+
+
+def _check_values(a_exps: dict, b_exps: dict, la: int, lb: int) -> None:
     """NonDivisible unless b(x) divides a(x) at x = every variable 1 and at
     x = every variable -1, as a = b c with c(x) an integer requires; the
-    operands map exponent tuples to coefficients."""
+    operands map exponent tuples to coefficients.  Then the same at every
+    variable 2 for the polynomials a' and b' that the operands shift to,
+    la and lb the total degrees of the shifts, as a' = b' c' with c' an
+    integer polynomial requires; a'(2) is only taken modulo b'(2), and only
+    where b' has total degree at most _VALUE_BITS."""
     for x in (1, -1):
         av, bv = (sum(-c if x < 0 and sum(e) & 1 else c for e, c in exps.items())
                   for exps in (a_exps, b_exps))
         if (bv == 0 and av != 0) or (bv != 0 and av % bv != 0):
             raise NonDivisible(f"no exact Laurent quotient: {av} and {bv} at all variables {x}")
+    degrees = [sum(e) - lb for e in b_exps]
+    if max(degrees) <= _VALUE_BITS:
+        bv = abs(sum(c << d for d, c in zip(degrees, b_exps.values())))
+        if bv and sum(c * pow(2, sum(e) - la, bv) for e, c in a_exps.items()) % bv:
+            raise NonDivisible(f"no exact Laurent quotient: {bv} does not divide the "
+                               "dividend at all variables 2")
 
 
 def _max_exponent(vs: VarSet, terms: dict) -> int:

@@ -13,9 +13,10 @@ The datum also owns the folded letter alphabet x_1, ..., x_{2n-1} with
 x_i = x_{2n-i} and the distinguished ascending words v(k,m) (series A, C)
 and e(k,m), e'(k,m) (series D).
 
-It decides once whether p is a table of monic Laurent monomials or of
-Fractions, and builds there every per-letter table that the walks of
-qborel.shuffle and qborel.verify read, all in one layout: indexed by the
+It decides once whether p is a table of monic Laurent monomials, whose
+brackets walk packed keys, or of Fractions, whose walks multiply scalars,
+and builds there every per-letter table that the walks of qborel.shuffle
+and qborel.verify read, all in one layout: indexed by the
 physical letters 1..n, with None in row 0 and column 0, so that
 tuple(zip(*t)) is the transpose of a table t in the same layout.
 
@@ -107,8 +108,8 @@ class QuantumDatum:
 
     __slots__ = ("series", "n", "mode", "cartan", "d", "varset", "assignment",
                  "p", "q", "_p_inv", "_b", "_index", "_inv_keys", "_inv_cols", "_step",
-                 "_p_bound", "_p_fracs", "_cross", "_tails", "_q_pow", "_leaf_scalars",
-                 "_images", "_chains", "_serre", "_forms", "_one", "_zero", "__weakref__")
+                 "_p_bound", "_p_fracs", "_q_pow", "_leaf_scalars", "_images", "_chains",
+                 "_serre", "_forms", "_one", "_zero", "__weakref__")
 
     def __init__(self, series, n, mode, cartan, d, varset, assignment, p, q):
         self.series = series
@@ -120,8 +121,7 @@ class QuantumDatum:
         self.assignment = assignment
         self.p = p
         self.q = q
-        inv = [[x ** -1 for x in row] for row in p]
-        self._p_inv = _letter_table(inv)
+        self._p_inv = _letter_table([x ** -1 for x in row] for row in p)
         # p(x, y) p(y, x) = q^{b(x, y)} with b(x, y) = d_x a_xy, symmetric
         self._b = _letter_table([di * a for a in row] for di, row in zip(d, cartan))
         # letter -> physical letter by the fold i -> 2n - i above n; 0 is none
@@ -131,10 +131,9 @@ class QuantumDatum:
         # monic monomials (the Laurent tables of make_datum) the packed keys
         # of p^-1, their transpose and step, a bound on the |exponent| one
         # crossed pair adds to a key; for Fractions (the numeric tables) the
-        # numerators and denominators of p and the cleared tables C and A of
-        # qborel.shuffle.  The other kind's stay None; other tables are refused.
-        self._inv_keys = self._inv_cols = self._step = self._p_bound = None
-        self._p_fracs = self._cross = self._tails = None
+        # numerators and denominators of p.  The other kind's stay None;
+        # other tables are refused.
+        self._inv_keys = self._inv_cols = self._step = self._p_bound = self._p_fracs = None
         if all(isinstance(x, LaurentPoly) and list(x.terms.values()) == [1]
                for row in p for x in row):
             self._inv_keys = _letter_table([-next(iter(x.terms)) for x in row] for row in p)
@@ -144,10 +143,6 @@ class QuantumDatum:
         elif all(isinstance(x, Fraction) for row in p for x in row):
             self._p_fracs = (_letter_table([x.numerator for x in row] for row in p),
                              _letter_table([x.denominator for x in row] for row in p))
-            self._cross = _letter_table([x.denominator * y.denominator for x, y in zip(row, col)]
-                                        for row, col in zip(inv, zip(*inv)))
-            self._tails = _letter_table([x.numerator * y.denominator for x, y in zip(row, col)]
-                                        for row, col in zip(inv, zip(*inv)))
         else:
             raise ValueError("p must be a table of monic Laurent monomials "
                              "or a table of Fractions")

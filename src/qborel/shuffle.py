@@ -19,23 +19,10 @@ sum_{uv=w} p(x_i, v)^{-1} (u x_i v), the same walk with one letter to
 place.  The map x_i -> (x_i) extends through it to the evaluation
 homomorphism from free-algebra elements, computed by grouping words on
 their last letter so that each letter product acts on an already merged
-sum (``eval_word`` keeps the word-by-word reference); the grouped
-evaluation runs loops of its own (below), an independent path for the
-cross-checks.  Since evaluation is a homomorphism, a bracket tree is
-evaluated bracket by bracket in the shuffle algebra instead.  The
-braided coproduct is deconcatenation over all split points.
-
-Over rational data the evaluation runs on cleared int tables.  Write
-p(x, y)^{-1} = a_xy / b_xy in lowest terms and set C_xy = b_xy b_yx
-(symmetric) and A_xy = a_xy b_yx, so A_xy / C_xy = p(x, y)^{-1}.  The input
-is multiplied by L, the lcm of its coefficient denominators, and placing x
-before z[s:] pays prod_{y in z[:s]} C_xy prod_{y in z[s:]} A_xy: the true
-weight times prod_{y in z} C_xy.  By induction the int image at a
-comonomial z is L K(z) times the rational one, with K(z) the product of
-C over the letter pairs of z, which depends only on the letters of z.
-Every partial sum at z carries the same positive factor, so terms cancel
-at the same steps, and one Fraction(c, L K(z)) per output term gives the
-same values, keys and dict order as the letter products over Fractions.
+sum (``eval_word`` keeps the word-by-word reference).  Since evaluation
+is a homomorphism, a bracket tree is evaluated bracket by bracket in the
+shuffle algebra instead.  The braided coproduct is deconcatenation over
+all split points.
 
 Over a table p of monic monomials (every symbolic datum) a bracket runs on
 packed monomial keys (:func:`_keyed_bracket`).  Each weight w(sigma) is a
@@ -54,28 +41,11 @@ itself where the pair keys and energies alone could pass EXP_LIMIT (a
 table p with huge exponents, which make_datum never builds).  A factor
 that is not a monic monomial takes the generic walk over the scalars, as
 every bracket over a rational table does.
-
-The evaluation runs on the same keys over such a table
-(:func:`_keyed_eval`).  Each coefficient is one {packed key: int} dict,
-and placing x before z[s:] shifts every key of z's coefficient by the sum
-of the keys of p(x, y)^{-1} over the letters y of z[s:]: the key of the
-weight the letter product multiplies by.  The walk keeps the grouping,
-the merges and the cancellations of the letter products over
-LaurentPolys step for step, so the values, the words and their order are
-the same, and each output word becomes one LaurentPoly.  An int
-coefficient is taken into the ring first.  A key of the image is the key
-of an input coefficient shifted by at most L L step, L the longest word,
-so with that bound checked up front no slot passes EXP_LIMIT; where it
-could, the walk raises ``ExponentOutOfRange``.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from itertools import accumulate
-from math import lcm, prod
-from operator import mul
 from typing import Sequence
 
 from .coeffring import (EXP_LIMIT, ExponentOutOfRange, LaurentPoly, LinComb, _laurent,
@@ -146,20 +116,6 @@ def shuffle_letter_mul(datum: QuantumDatum, w: ShuffleElem, i: int) -> ShuffleEl
     for z, c in w.terms.items():
         _place(out, z, x, rows, None, c, 0, 0, (), False)
     return ShuffleElem._fresh(out)
-
-
-def _letter_terms(terms: dict, x: int, tail, head) -> dict:
-    """The terms of (w)(x) for w with the given terms: z[:s] x z[s:] pays
-    tail[y] for each letter y of z[s:] and head[y] for each letter y of
-    z[:s].  The cleared evaluation takes tail = A_x and head = C_x."""
-    out: dict = {}
-    for z, c in terms.items():
-        # s runs down from the end of z, one more letter of z[s:] per step
-        ws = accumulate(map(tail.__getitem__, reversed(z)), mul, initial=c)
-        heads = list(accumulate(map(head.__getitem__, z), mul, initial=1))
-        add_terms(out, zip((z[:s] + (x,) + z[s:] for s in range(len(z), -1, -1)),
-                           map(mul, ws, reversed(heads))))
-    return out
 
 
 def shuffle_mul(datum: QuantumDatum, a: ShuffleElem, b: ShuffleElem) -> ShuffleElem:
@@ -395,29 +351,14 @@ def eval_free(datum: QuantumDatum, f: FreeElem) -> ShuffleElem:
     contributes c.  The prefixes sharing a (physical) last letter are
     merged into one canonical sum before the letter product, so terms
     cancel early instead of after every word is shuffled out on its own.
-    Over a table of monic monomials the walk runs on packed keys; over
-    rational data it runs on the cleared int tables of the module
-    docstring, and each output term is divided by L K(z) once.
+    Each coefficient is taken into the datum's ring first.
     """
-    if datum._inv_keys is not None:
-        return ShuffleElem._fresh(_keyed_eval(datum, f.terms))
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    ints = _eval_terms(datum, {w: c.numerator * (scale // c.denominator)
-                               for w, c in f.terms.items()})
-    cross, dens, out = datum._cross, {}, {}
-    for z, c in ints.items():
-        key = tuple(sorted(z))  # K(z) depends only on the letters of z
-        d = dens.get(key)
-        if d is None:
-            d = dens[key] = scale * prod(cross[y][x] for j, x in enumerate(z) for y in z[:j])
-        out[z] = Fraction(c, d)
-    return ShuffleElem._fresh(out)
+    one = datum.one()
+    return ShuffleElem._fresh(_eval_terms(datum, {w: one * c for w, c in f.terms.items()}))
 
 
 def _eval_terms(datum: QuantumDatum, terms: dict) -> dict:
-    """The int terms of the image of the sum with the given int terms, on
-    the cleared tables C and A of a rational datum."""
-    cross, tails = datum._cross, datum._tails
+    """The terms of the image of the sum with the given terms."""
     out = {(): terms[()]} if () in terms else {}
     groups: dict = {}
     for w, c in terms.items():
@@ -425,88 +366,9 @@ def _eval_terms(datum: QuantumDatum, terms: dict) -> dict:
             add_terms(groups.setdefault(datum.physical(w[-1]), {}), ((w[:-1], c),))
     for x, prefixes in groups.items():
         if prefixes:
-            img = _eval_terms(datum, prefixes)
-            add_terms(out, _letter_terms(img, x, tails[x], cross[x]).items())
+            img = ShuffleElem._fresh(_eval_terms(datum, prefixes))
+            add_terms(out, shuffle_letter_mul(datum, img, x).terms.items())
     return out
-
-
-def _keyed_eval(datum: QuantumDatum, terms: dict) -> dict:
-    """The terms of the image of the sum with the given terms on packed
-    keys (module docstring), each coefficient taken into the datum's ring;
-    ExponentOutOfRange where the keys could pass EXP_LIMIT."""
-    vs, one = datum.varset, datum.one()
-    keyed = {}
-    bound = longest = 0
-    for w, c in terms.items():
-        if c.__class__ is not LaurentPoly or c.vs is not vs:
-            c = one * c
-        if c._bound > bound:
-            bound = c._bound
-        if len(w) > longest:
-            longest = len(w)
-        keyed[w] = c.terms
-    bound += longest * longest * datum._step
-    if bound > EXP_LIMIT:
-        raise ExponentOutOfRange(f"a key may reach exponent {bound}, past +-{EXP_LIMIT}")
-    out = _keyed_terms(datum.physical, datum._inv_keys, keyed)
-    return {z: _laurent(vs, d, bound) for z, d in out.items()}
-
-
-def _keyed_terms(physical, rows, terms: dict) -> dict:
-    """:func:`_eval_terms` on {key: int} coefficients, with rows[x][y] the
-    key of p(x, y)^{-1}.  The dicts of ``terms`` are only read, and those
-    of the result are fresh but for the empty word's."""
-    out = {(): terms[()]} if () in terms else {}
-    groups: dict = {}
-    for w, d in terms.items():
-        if w:
-            group, prefix = groups.setdefault(physical(w[-1]), {}), w[:-1]
-            cur = group.get(prefix)
-            if cur is None:
-                group[prefix] = d
-            elif cur := _add_keyed(dict(cur), d, 0):
-                group[prefix] = cur
-            else:
-                del group[prefix]
-    for x, prefixes in groups.items():
-        if prefixes:
-            # the letter product, merged into a dict of its own first as
-            # shuffle_letter_mul merges it, so words cancel at the same steps
-            row, img = rows[x], {}
-            for z, d in _keyed_terms(physical, rows, prefixes).items():
-                k = 0
-                for s in range(len(z), -1, -1):
-                    word = z[:s] + (x,) + z[s:]
-                    cur = img.get(word)
-                    if cur is None:
-                        img[word] = {kc + k: a for kc, a in d.items()}
-                    elif not _add_keyed(cur, d, k):
-                        del img[word]
-                    if s:
-                        k += row[z[s - 1]]
-            if not out:
-                out = img
-                continue
-            for word, d in img.items():
-                cur = out.get(word)
-                if cur is None:
-                    out[word] = d
-                elif not _add_keyed(cur, d, 0):
-                    del out[word]
-    return out
-
-
-def _add_keyed(d: dict, terms: dict, k: int) -> dict:
-    """Adds the {key: int} ``terms``, every key shifted by k, into d in
-    place, dropping a key that cancels; returns d."""
-    for kc, a in terms.items():
-        x = kc + k
-        s = d.get(x, 0) + a
-        if s:
-            d[x] = s
-        else:
-            del d[x]
-    return d
 
 
 class BraidedTensor(LinComb):

@@ -33,6 +33,7 @@ t-monomials) or the bound fails, the scalars are multiplied.
 
 from __future__ import annotations
 
+import operator
 import random
 import time
 from functools import partial, reduce
@@ -45,7 +46,7 @@ from .freeword import FreeElem, left_nested, right_nested, skew_bracket
 from .pbwgen import generator_image, is_pbw_interval, pbw_generators, tau_table
 from .shuffle import (BraidedTensor, ShuffleElem, _interleavings,
                       braided_coproduct, comonomial_str, eval_free,
-                      shuffle_bracket, tensor_pair_str)
+                      shuffle_bracket, shuffle_mul, tensor_pair_str)
 
 
 class NonProportionalProjection(ArithmeticError):
@@ -592,26 +593,29 @@ def _random_homogeneous(datum: QuantumDatum, rng: random.Random,
 
 
 def _p_of(datum, u, v):
-    return datum.p_words(next(iter(u.terms)), next(iter(v.terms)))
+    """p(u, v) read off one word (or comonomial) of each operand; a zero
+    operand reads as the empty word, since every term p scales then
+    vanishes."""
+    return datum.p_words(next(iter(u.terms), ()), next(iter(v.terms), ()))
 
 
 def verify_identity_suite(datum: QuantumDatum, seed: int = 0,
                           count: int = 100) -> VerificationReport:
     """Randomized exact checks of the bracket identities.
 
-    The unconditional identities (Jacobi, antisymmetry, both ad-identities)
+    Each identity is written once, over a bracket and a product.  The
+    unconditional identities (Jacobi, antisymmetry, both ad-identities)
     are verified as free-algebra equalities.  The two conditional
     identities need a vanishing bracket as hypothesis; nonzero free-algebra
     witnesses of [u,w] = 0 do not exist over the generic datum, so the
     guard is a Serre chain's outer operands, whose bracket vanishes in the
-    shuffle image, and the identities are checked there, matching how they
-    are applied inside the quantum Borel algebra: by one evaluation of the
-    difference of the two sides, since evaluation is linear.
+    shuffle image, and the identities hold in that image, U_q^+ itself.
+    So both the guard and the identity are checked on the images of the
+    three operands, with the shuffle bracket and the shuffle product.
     """
     t0 = time.monotonic()
     rng = random.Random(seed)
     guards = [(u, w) for _, u, w in _serre_chains(datum)]
-    br = partial(skew_bracket, datum)
     p = partial(_p_of, datum)
     one = datum.one()
 
@@ -629,48 +633,51 @@ def verify_identity_suite(datum: QuantumDatum, seed: int = 0,
             return ops, slot
         return draw
 
-    # name, draw, lhs, rhs; a guarded identity compares its sides' images
-    identities = [
-        ("jacobi", free(3, 3),
-         lambda u, v, w: br(br(u, v), w),
-         lambda u, v, w: (br(u, br(v, w))
-                          + br(br(u, w), v).scale(p_wv_inv := p(w, v) ** -1)
-                          + (br(u, w) * v).scale(p(v, w) - p_wv_inv))),
-        ("antisymmetry", free(2, 3),
-         lambda u, v: br(u, v),
-         lambda u, v: (-br(v, u).scale(p_uv := p(u, v))
-                       + (u * v).scale(one - p_uv * p(v, u)))),
-        ("conditional-jacobi", guarded(2),
-         lambda u, v, w: br(br(u, v), w),
-         lambda u, v, w: br(u, br(v, w))),
-        ("conditional-swap", guarded(1),
-         lambda u, v, w: br(u, br(v, w)),
-         lambda u, v, w: (-br(br(u, w), v).scale(p_vw := p(v, w))
-                          + (v * br(u, w)).scale(
-                              p(u, v) * (one - p_vw * p(w, v))))),
-        ("ad-left", free(3, 2),
-         lambda u, v, w: br(u * v, w),
-         lambda u, v, w: (br(u, w) * v).scale(p(v, w)) + u * br(v, w)),
-        ("ad-right", free(3, 2),
-         lambda u, v, w: br(u, v * w),
-         lambda u, v, w: br(u, v) * w + (v * br(u, w)).scale(p(u, v))),
-    ]
+    def sides(br, mul):
+        """lhs and rhs of each identity over the bracket br and product mul."""
+        return [
+            (lambda u, v, w: br(br(u, v), w),
+             lambda u, v, w: (br(u, br(v, w))
+                              + br(br(u, w), v).scale(p_wv_inv := p(w, v) ** -1)
+                              + mul(br(u, w), v).scale(p(v, w) - p_wv_inv))),
+            (lambda u, v: br(u, v),
+             lambda u, v: (-br(v, u).scale(p_uv := p(u, v))
+                           + mul(u, v).scale(one - p_uv * p(v, u)))),
+            (lambda u, v, w: br(br(u, v), w),
+             lambda u, v, w: br(u, br(v, w))),
+            (lambda u, v, w: br(u, br(v, w)),
+             lambda u, v, w: (-br(br(u, w), v).scale(p_vw := p(v, w))
+                              + mul(v, br(u, w)).scale(p(u, v) * (one - p_vw * p(w, v))))),
+            (lambda u, v, w: br(mul(u, v), w),
+             lambda u, v, w: mul(br(u, w), v).scale(p(v, w)) + mul(u, br(v, w))),
+            (lambda u, v, w: br(u, mul(v, w)),
+             lambda u, v, w: mul(br(u, v), w) + mul(v, br(u, w)).scale(p(u, v))),
+        ]
+
+    image_br = partial(shuffle_bracket, datum)
+    identities = zip(
+        (("jacobi", free(3, 3)), ("antisymmetry", free(2, 3)),
+         ("conditional-jacobi", guarded(2)), ("conditional-swap", guarded(1)),
+         ("ad-left", free(3, 2)), ("ad-right", free(3, 2))),
+        sides(partial(skew_bracket, datum), operator.mul),
+        sides(image_br, partial(shuffle_mul, datum)))
     cases = []
-    for name, draw, lhs, rhs in identities:
+    for (name, draw), free_sides, image_sides in identities:
         witness = None
         for instance in range(count):
             ops, slot = draw()
-            if slot is not None and eval_free(datum, br(ops[0], ops[slot])):
-                witness = f"instance {instance}: guard [u,{'uvw'[slot]}] does not vanish"
-                break
-            got, want = lhs(*ops), rhs(*ops)
-            # a guarded instance evaluates one difference; only a failure
-            # evaluates both sides for its witness
-            if got != want if slot is None else eval_free(datum, got - want):
+            if slot is None:
+                args, (lhs, rhs) = ops, free_sides
+            else:
+                args, (lhs, rhs) = [eval_free(datum, op) for op in ops], image_sides
+                if image_br(args[0], args[slot]):
+                    witness = f"instance {instance}: guard [u,{'uvw'[slot]}] does not vanish"
+                    break
+            got, want = lhs(*args), rhs(*args)
+            if got != want:
                 witness = (f"instance {instance}: "
                            + " ".join(f"{x}={op!r}" for x, op in zip("uvw", ops))
-                           + ("" if slot is None else ": " + _shuffle_witness(
-                               eval_free(datum, got), eval_free(datum, want))))
+                           + ("" if slot is None else ": " + _shuffle_witness(got, want)))
                 break
         cases.append(CaseResult(f"{name} x{count}", witness is None, witness))
     return _timed("identities", cases, t0)

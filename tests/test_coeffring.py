@@ -101,6 +101,24 @@ def test_div_exact_rejects_by_value_at_ones():
     assert (Q ** 2 - T ** 2) / (Q + T) == Q - T
 
 
+def test_div_exact_rejects_by_value_at_twos():
+    # (q^N + 2) / (q^2 + q + 1) passes both values at ones (3 / 3, and 1 or
+    # 3 / 1), but 7 never divides 2^N + 2; the quotient loop would take N
+    # steps.  The shifted operands are compared, so negative keys and a
+    # t-power in the divisor change nothing
+    n = 10 ** 5
+    unit = Q ** -3 * T ** -1
+    for a, b in ((Q ** n + 2, Q ** 2 + Q + 1),
+                 ((Q ** n + 2) * unit, (Q ** 2 + Q + 1) * T)):
+        t0 = time.monotonic()
+        with pytest.raises(NonDivisible):
+            a / b
+        assert time.monotonic() - t0 < 0.05
+    # shifted pairs that pass every value still divide
+    assert (Q ** 3 - 1) * unit / ((Q - 1) * T) == (Q ** 2 + Q + 1) * unit / T
+    assert (Q ** 2 - 4 * T ** 2) / (Q - 2 * T) == Q + 2 * T
+
+
 @given(polys(), polys())
 @settings(max_examples=150)
 def test_div_exact_roundtrip(a, b):

@@ -290,13 +290,12 @@ def test_p_words_key_path_only_for_monic_monomial_tables():
 @pytest.mark.parametrize("mode", MODES)
 def test_make_datum_decides_one_kind_per_mode(mode):
     # the Laurent modes get the key tables of p^-1 and the numeric mode the
-    # numerators and denominators of p and the cleared tables, never both
+    # numerators and denominators of p, never both
     for series, n in (("A", 3), ("C", 3), ("D", 4)):
         d = make_datum(series, n, mode)
         keyed = (d._inv_keys, d._inv_cols, d._step, d._p_bound)
-        rational = (d._p_fracs, d._cross, d._tails)
         assert all((x is None) == (mode == "numeric") for x in keyed)
-        assert all((x is None) == (mode != "numeric") for x in rational)
+        assert (d._p_fracs is None) == (mode != "numeric")
 
 
 LAYOUT_DATA = {f"{series}{n}-{mode}": make_datum(series, n, mode)
@@ -307,12 +306,12 @@ LAYOUT_DATA = {f"{series}{n}-{mode}": make_datum(series, n, mode)
 def test_walk_tables_share_one_physical_letter_layout(name):
     # every per-letter table is indexed by physical letters 1..n with None
     # in row 0 and column 0, so zip(*t) is its transpose in the same
-    # layout, and the walks read p(y, z)^-1 at (y, z): as a key, or as A/C
+    # layout, and the walks read p(y, z)^-1 at (y, z), also as a key
     d = LAYOUT_DATA[name]
     n, letters = d.n, range(1, d.n + 1)
     keyed = d._inv_keys is not None
     tables = [d._p_inv, d._b] + ([d._inv_keys, d._inv_cols] if keyed
-                                 else [*d._p_fracs, d._cross, d._tails])
+                                 else [*d._p_fracs])
     for t in tables:
         cols = tuple(zip(*t))
         for table in (t, cols):
@@ -327,8 +326,6 @@ def test_walk_tables_share_one_physical_letter_layout(name):
             if keyed:
                 assert inv.terms == {d._inv_keys[y][z]: 1} == {d._inv_cols[z][y]: 1}
             else:
-                assert Fraction(d._tails[y][z], d._cross[y][z]) == inv
-                assert d._cross[y][z] == d._cross[z][y]
                 assert Fraction(d._p_fracs[0][y][z], d._p_fracs[1][y][z]) == d.p[y - 1][z - 1]
     # p_words over the letter pairs, folded letters included
     every = tuple(range(1, d.max_letter + 1))

@@ -304,8 +304,7 @@ def test_eval_free_matches_word_by_word(name, data):
     assert eval_free(datum, f) == eval_by_words(datum, f)
 
 
-# rational data, whose images run on cleared int tables; the last one has
-# a non-integer q and t_ij, so the tables clear numerators and denominators
+# rational data; the last one has a non-integer q and t_ij
 RATIONAL_DATA = {
     **{f"{series}{n}": make_datum(series, n, "numeric")
        for series, n in (("C", 3), ("D", 4), ("A", 3))},
@@ -330,25 +329,6 @@ def test_rational_eval_free_is_the_fraction_walk(name, data):
     assert got == eval_by_words(datum, f)
     assert list(got.terms.items()) == list(letter_product_walk(datum, f.terms).items())
     assert all(type(c) is Fraction for c in got.terms.values())
-
-
-def test_only_rational_data_build_the_cleared_tables(monkeypatch):
-    # a symbolic datum has no cleared tables and its evaluation never walks
-    # them; a rational one walks the tables its constructor built
-    walked = []
-    real = shuffle._eval_terms
-    monkeypatch.setattr(shuffle, "_eval_terms",
-                        lambda datum, terms: walked.append(datum) or real(datum, terms))
-    numeric = make_datum("C", 3, "numeric")
-    f = skew_bracket(C3, FreeElem.letter(C3, 1), FreeElem.letter(C3, 2))
-    for datum in (C3, make_datum("C", 3, "one-parameter")):
-        assert datum._cross is None and datum._tails is None
-        g = FreeElem({w: datum.integer(2) for w in f.terms})
-        assert eval_free(datum, g) == eval_by_words(datum, g)
-    assert walked == []
-    assert numeric._cross is not None and numeric._tails is not None
-    eval_free(numeric, FreeElem.letter(numeric, 1))
-    assert walked and set(walked) == {numeric}
 
 
 @given(st.sampled_from(sorted(ORACLE_DATA)), st.data())
@@ -748,10 +728,9 @@ def test_keyed_eval_free_is_the_laurent_walk(name, data):
             f = f - FreeElem.word(word[:-1] + (2 * datum.n - word[-1],), c)
     if data.draw(st.booleans()):
         f = f + FreeElem.word((), q - t)
-    keyed = shuffle._keyed_eval(datum, f.terms)
-    assert list(keyed.items()) == list(letter_product_walk(datum, f.terms).items())
     got = eval_free(datum, f)
-    assert got.terms == keyed and all(got.terms.values())
+    assert list(got.terms.items()) == list(letter_product_walk(datum, f.terms).items())
+    assert all(got.terms.values())
     assert got == eval_by_words(datum, f)
 
 
@@ -769,23 +748,19 @@ def test_keyed_eval_free_merges_each_letter_product_whole():
 
 
 def test_keyed_eval_free_refuses_keys_past_the_exponent_range():
-    # with t_12 raised to 2^28 the keys of a two-letter word could pass
-    # EXP_LIMIT, so the keyed walk raises before it walks: where the
-    # exponents of the image would stay in range, as the letter products
-    # show, and where placing x2 before x1, of weight q^2 t_12^(2^28),
-    # leaves it
+    # with t_12 raised to 2^28 every product of the letter walk is a
+    # range-checked Laurent product, so no key can wrap: an image whose
+    # exponents stay in range is the word-by-word one, and placing x2
+    # before x1, of weight q^2 t_12^(2^28), past the range raises
     big = huge_t12_datum()
     f = FreeElem({(1, 2): big.one(), (2, 1, 2): big.q_power(1), (): big.integer(2)})
-    assert letter_product_walk(big, f.terms)
+    got = eval_free(big, f)
+    assert got == eval_by_words(big, f)
+    assert list(got.terms.items()) == list(letter_product_walk(big, f.terms).items())
     edge = FreeElem({(1, 2): LaurentPoly.t(big.varset, 1, 2, EXP_LIMIT - 2 ** 27)})
-    for g in (f, edge):
-        with pytest.raises(ExponentOutOfRange):
-            shuffle._keyed_eval(big, g.terms)
-        with pytest.raises(ExponentOutOfRange):
-            eval_free(big, g)
-    # one-letter words stay on the keys
+    with pytest.raises(ExponentOutOfRange):
+        eval_free(big, edge)
     one = FreeElem({(1,): big.p[0][1], (2,): big.q_power(-1)})
-    assert shuffle._keyed_eval(big, one.terms) == letter_product_walk(big, one.terms)
     assert eval_free(big, one) == eval_by_words(big, one)
 
 
@@ -805,9 +780,9 @@ def test_keyed_eval_free_takes_only_laurent_coefficients():
 
 @pytest.mark.parametrize("series,rank", [("C", "4"), ("D", "5")])
 def test_symbolic_suites_walk_only_packed_keys(monkeypatch, capsys, series, rank):
-    # every evaluation and bracket of a symbolic run walks packed keys: the
-    # letter product never runs, and the generic interleavings walk never
-    # sees a LaurentPoly; the pbw suite's products over ints still take it
+    # every bracket of a symbolic run walks packed keys: no bracket scalars
+    # are built over a Laurent q; every evaluation runs the letter product,
+    # and the pbw suite's products over ints still take the generic walk
     walks = {"eval": 0, "bracket": 0, "ints": 0}
 
     def count(name, real):
@@ -816,21 +791,21 @@ def test_symbolic_suites_walk_only_packed_keys(monkeypatch, capsys, series, rank
             return real(*args)
         return wrapped
 
-    def refuse(*args):
-        raise AssertionError("shuffle_letter_mul ran on symbolic data")
+    real_scalars, real_walk = shuffle._LeafScalars, verify._interleavings
 
-    real = shuffle._interleavings
+    def rational_only(datum, factor):
+        assert datum.q.__class__ is not LaurentPoly
+        return real_scalars(datum, factor)
 
     def ints_only(rows, a, b, scalars):
         scalars_seen = chain(chain.from_iterable(rows), a.values(), b.values())
         assert not any(c.__class__ is LaurentPoly for c in scalars_seen)
         walks["ints"] += 1
-        return real(rows, a, b, scalars)
+        return real_walk(rows, a, b, scalars)
 
-    monkeypatch.setattr(shuffle, "shuffle_letter_mul", refuse)
-    monkeypatch.setattr(shuffle, "_interleavings", ints_only)
+    monkeypatch.setattr(shuffle, "_LeafScalars", rational_only)
     monkeypatch.setattr(verify, "_interleavings", ints_only)
-    monkeypatch.setattr(shuffle, "_keyed_eval", count("eval", shuffle._keyed_eval))
+    monkeypatch.setattr(shuffle, "shuffle_letter_mul", count("eval", shuffle.shuffle_letter_mul))
     monkeypatch.setattr(shuffle, "_keyed_bracket", count("bracket", shuffle._keyed_bracket))
     assert run_command(["verify", "--series", series, "--rank", rank, "--suite", "all",
                         "--mode", "symbolic", "--count", "2"]) == 0

@@ -14,8 +14,9 @@ from qborel.coeffring import (ExponentOutOfRange, LaurentPoly, NonDivisible, Var
                               add_terms, kronecker_form)
 from qborel.datum import QuantumDatum, make_datum
 from qborel.pbwgen import generator_image, pbw_generators, tau_table
-from qborel.freeword import skew_bracket
-from qborel.shuffle import BraidedTensor, ShuffleElem, comonomial_str, shuffle_mul
+from qborel.freeword import FreeElem, skew_bracket
+from qborel.shuffle import (BraidedTensor, ShuffleElem, comonomial_str, eval_free,
+                            shuffle_bracket, shuffle_mul)
 from qborel.verify import (_RANK_PRIMES, NonProportionalProjection,
                            NonUnitModP, _modp_first_dependent, coproduct_formula,
                            pbw_product_rows,
@@ -807,8 +808,14 @@ def _bracket_with_factor_q(datum, u, v, factor=None):
     return skew_bracket(datum, u, v, datum.q_power(1) if factor is None else factor)
 
 
-# Witnesses of a skew bracket that scales every plain p(u, v) by q, at
-# seed 5; the free draws are pinned, so their order must not move.
+def _shuffle_bracket_with_factor_q(datum, a, b, factor=None):
+    """The same broken bracket in the shuffle algebra."""
+    return shuffle_bracket(datum, a, b, datum.q_power(1) if factor is None else factor)
+
+
+# Witnesses of a skew bracket, and of a shuffle bracket, that scale every
+# plain p(u, v) by q, at seed 5; the free draws are pinned, so their order
+# must not move.
 _BROKEN_BRACKET_WITNESSES = {
     "C3": [
         "instance 0: u=<FreeElem (-3)*x3*x3*x5> v=<FreeElem (-2*q^-1)*x1> "
@@ -833,8 +840,7 @@ _BROKEN_BRACKET_WITNESSES = {
         "instance 0: u=<FreeElem (-3)*x6*x2> v=<FreeElem (-1)*x6> "
         "w=<FreeElem (1)*x5>",
     ],
-    # the same draws at the numeric point q = 5, whose images run on cleared
-    # int tables
+    # the same draws at the numeric point q = 5
     "C3-numeric": [
         "instance 0: u=<FreeElem (-3)*x3*x3*x5> v=<FreeElem (-2/5)*x1> "
         "w=<FreeElem (-15)*x2*x4 + (5)*x4*x2>",
@@ -866,7 +872,9 @@ _BROKEN_BRACKET_WITNESSES = {
                          ids=lambda d: f"{d.series}{d.n}" + (
                              "-numeric" if d.mode == "numeric" else ""))
 def test_identity_suite_witnesses_a_broken_bracket(monkeypatch, d):
+    # the guarded identities run on the operands' shuffle images
     monkeypatch.setattr(verify, "skew_bracket", _bracket_with_factor_q)
+    monkeypatch.setattr(verify, "shuffle_bracket", _shuffle_bracket_with_factor_q)
     report = verify_identity_suite(d, seed=5, count=20)
     assert [c.name for c in report.cases] == [
         f"{name} x20" for name in ("jacobi", "antisymmetry",
@@ -876,6 +884,38 @@ def test_identity_suite_witnesses_a_broken_bracket(monkeypatch, d):
     assert [c.witness for c in report.cases] == \
         _BROKEN_BRACKET_WITNESSES[f"{d.series}{d.n}" + (
             "-numeric" if d.mode == "numeric" else "")]
+
+
+@pytest.mark.parametrize("d", [C3, make_datum("C", 3, "numeric")],
+                         ids=["C3", "C3-numeric"])
+def test_identity_suite_witnesses_a_broken_shuffle_product(monkeypatch, d):
+    # every shuffle product doubled: the free identities never take it, and
+    # conditional jacobi has no product, so only conditional swap fails, at
+    # a comonomial where the product's term is twice the bracket's
+    monkeypatch.setattr(verify, "shuffle_mul",
+                        lambda datum, a, b: shuffle_mul(datum, a, b).scale(2))
+    report = verify_identity_suite(d, seed=5, count=20)
+    assert [c.name for c in report.failures()] == ["conditional-swap x20"]
+    head, _, values = report.failures()[0].witness.partition(": at (x1 x1 x1 x2 x2 x2 x3): ")
+    assert head.startswith("instance 0: u=<FreeElem ") and " v=<FreeElem (1)*x2> w=" in head
+    got, want = values.split(" != ")
+    if d.mode == "numeric":
+        assert Fraction(want) == 2 * Fraction(got)
+
+
+@pytest.mark.parametrize("d", [C3, make_datum("C", 3, "numeric")],
+                         ids=["C3", "C3-numeric"])
+def test_identity_suite_passes_an_operand_whose_image_vanishes(monkeypatch, d):
+    # x2 x4 - x4 x2 on C_3: both words have the physical letters 2 2, so
+    # its image is zero; as conditional swap's w, p(v, w) reads it as the
+    # empty word, and every term it scales vanishes
+    zero_image = FreeElem({(2, 4): d.one(), (4, 2): -d.one()})
+    assert eval_free(d, zero_image).is_zero()
+    monkeypatch.setattr(verify, "_random_homogeneous",
+                        lambda datum, rng, max_len=3: zero_image)
+    report = verify_identity_suite(d, seed=0, count=3)
+    assert report.cases[3].name == "conditional-swap x3"
+    assert report.passed, report.failures()
 
 
 # Witnesses at seed 5 when every p(u, v) the identities read is doubled:
