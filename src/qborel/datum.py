@@ -24,8 +24,8 @@ It owns every per-datum memo, each created empty and filled on first use by
 the one module that knows its format: the powers of q (_q_pow, here), the
 bracket scalars (_leaf_scalars, qborel.shuffle), the generator images and
 their chains (_images, _chains, qborel.pbwgen), the Serre chains and the
-split forms (_serre, _forms, qborel.verify).  No memo value refers back to
-the datum, so each memo dies with it.
+coproduct suite's interval records (_serre, _forms, qborel.verify).  No
+memo value refers back to the datum, so each memo dies with it.
 """
 
 from __future__ import annotations
@@ -147,8 +147,8 @@ class QuantumDatum:
             raise ValueError("p must be a table of monic Laurent monomials "
                              "or a table of Fractions")
         # the memos (module docstring), filled on first use: _q_pow here, _leaf_scalars
-        # by shuffle, _images and _chains by pbwgen, and by verify _serre and _forms,
-        # each a list of its one record
+        # by shuffle, _images and _chains by pbwgen, and by verify _serre and _forms
+        # (the interval records of the split sum), each a list of its one record
         self._q_pow = {}
         self._leaf_scalars = {}
         self._images = {}

@@ -394,15 +394,6 @@ def coproduct_formula(datum: QuantumDatum, k: int, m: int,
 _FORM_BITS = 128  # B: Kronecker forms are read at q = 2^B
 
 
-def _image_forms(datum: QuantumDatum, memo: dict, k: int, m: int, bits: int) -> dict:
-    """{z: (c, Kronecker form of c)} over the terms of generator_image(k, m)."""
-    out = memo.get((k, m))
-    if out is None:
-        out = memo[(k, m)] = {z: (c, kronecker_form(c, bits))
-                              for z, c in generator_image(datum, k, m).terms.items()}
-    return out
-
-
 def _form_mul(f, g):
     """The Kronecker form of a product, with the l1 product as its l1
     bound; None if a form is missing."""
@@ -420,35 +411,21 @@ def _forms_agree(f, g, a, bits: int):
     return f[0] + g[0] == a[0] and f[1] + g[1] == a[1] and f[3] * g[3] == a[3]
 
 
-def _split_keys(datum: QuantumDatum, words: dict, k: int, m: int) -> dict:
-    """{i: the packed key of p(w(i+1,m), w(k,i))} for k <= i < m over a
-    table of monic monomials, {} over any other table; like ``p_words``,
-    raises ExponentOutOfRange where a key might pass EXP_LIMIT.
-
-    ``words`` memoises per interval (k, m) the physical letters of w(k,m)
-    and its column key sums col[a] = sum over b in w(k,m) of the key of
-    p(a, b)^-1, indexed by physical letters as the datum's key rows are;
-    each key is minus the sum of col over the letters of w(i+1,m).
-    """
-    if datum._inv_keys is None:
-        return {}
-    out = {}
-    for i in range(k, m):
-        left, _ = words.get((i + 1, m)) or _interval_keys(datum, words, i + 1, m)
-        right, col = words.get((k, i)) or _interval_keys(datum, words, k, i)
-        bound = len(left) * len(right) * datum._p_bound
-        if bound > EXP_LIMIT:
-            raise ExponentOutOfRange(f"p(u, v) may reach exponent {bound}, past +-{EXP_LIMIT}")
-        out[i] = -sum(map(col.__getitem__, left))
-    return out
-
-
-def _interval_keys(datum: QuantumDatum, words: dict, k: int, m: int) -> tuple:
-    """(physical letters of w(k,m), its column key sums), memoised in
-    ``words``; see :func:`_split_keys`."""
-    idx = tuple(map(datum._index.__getitem__, datum.series_word(k, m)))
-    out = words[(k, m)] = (idx, (None, *(sum(map(row.__getitem__, idx))
-                                         for row in datum._inv_keys[1:])))
+def _interval_record(datum: QuantumDatum, records: dict, k: int, m: int, bits: int) -> tuple:
+    """The record of the interval (k, m), memoised in ``records``: the
+    forms {z: (c, Kronecker form of c)} over the terms of
+    generator_image(k, m), the physical letters of w(k,m), and, over a
+    table of monic monomials, its column key sums col[a] = sum over b in
+    w(k,m) of the key of p(a, b)^-1, indexed by physical letters as the
+    datum's key rows are (None over any other table)."""
+    out = records.get((k, m))
+    if out is None:
+        idx = tuple(map(datum._index.__getitem__, datum.series_word(k, m)))
+        cols = None if datum._inv_keys is None else (
+            None, *(sum(map(row.__getitem__, idx)) for row in datum._inv_keys[1:]))
+        out = records[(k, m)] = ({z: (c, kronecker_form(c, bits))
+                                  for z, c in generator_image(datum, k, m).terms.items()},
+                                 idx, cols)
     return out
 
 
@@ -456,29 +433,39 @@ def _split_sum_holds(datum: QuantumDatum, k: int, m: int) -> bool:
     """Whether the split terms gamma_i cl cr of the tau table are exactly
     the reduced braided coproduct of v/e[k,m]: the verdict of
     ``coproduct_formula(datum, k, m, "assert")``, mostly without a Laurent
-    product.
+    product and without building that coproduct.
 
-    For each split i with tau_i != 0, each term cl (zl) of image(i+1, m)
-    and each cr (zr) of image(k, i), the pair (zl, zr) must be a key of the
-    coproduct that no earlier split reached, with coefficient a =
-    gamma_i cl cr; at the end every key must be reached.  Each product is
-    compared on Kronecker forms (module docstring), with one big-integer
-    product per pair: gamma_i's form is that of tau_i (1 - q^-1), memoised
-    per tau, shifted by the packed key of the monic monomial p(w(i+1,m),
-    w(k,i)) (:func:`_split_keys`, which raises ExponentOutOfRange where that
-    key might pass EXP_LIMIT), and the forms of the images are memoised on
-    the datum.  Where the forms do not decide, the scalars are multiplied.
+    The coproduct is deconcatenation: its pairs are the cuts (zl, zr) of
+    the comonomials z = zl zr of image(k, m), each with the coefficient a
+    of z, so it has the sum over z of |z| - 1 pairs.  For each split i with
+    tau_i != 0, each term cl (zl) of image(i+1, m) and each cr (zr) of
+    image(k, i), zl zr must be a comonomial of image(k, m), cut there by no
+    earlier split, with a = gamma_i cl cr; at the end every cut must be
+    reached.  Each product is compared on Kronecker forms (module
+    docstring), with one big-integer product per pair: gamma_i's form is
+    that of tau_i (1 - q^-1), memoised per tau, shifted by the packed key
+    of the monic monomial p(w(i+1,m), w(k,i)), minus the right record's
+    column sums over the left record's letters (:func:`_interval_record`).
+    Like ``p_words``, every split raises ExponentOutOfRange where that key
+    might pass EXP_LIMIT.  Where the forms do not decide, the scalars are
+    multiplied.
     """
     bits = _FORM_BITS
-    # on the datum: image forms, gamma forms by tau, _split_keys' words, 1 - q^-1
+    # on the datum: the interval records, gamma forms by tau, 1 - q^-1
     if not datum._forms:
-        datum._forms.append(({}, {}, {}, datum.one() - datum.q_power(-1)))
-    images, gammas, words, qfac = datum._forms[0]
-    actual = braided_coproduct(generator_image(datum, k, m), reduced=True).terms
-    whole = _image_forms(datum, images, k, m, bits)
+        datum._forms.append(({}, {}, datum.one() - datum.q_power(-1)))
+    records, gammas, qfac = datum._forms[0]
+    whole = _interval_record(datum, records, k, m, bits)[0]
+    taus = tau_table(datum, k, m)
     reached = set()
-    split_keys = _split_keys(datum, words, k, m)
-    for i, tau in tau_table(datum, k, m).items():
+    for i in range(k, m):
+        left, lidx, _ = _interval_record(datum, records, i + 1, m, bits)
+        right, ridx, cols = _interval_record(datum, records, k, i, bits)
+        if cols is not None:
+            bound = len(lidx) * len(ridx) * datum._p_bound
+            if bound > EXP_LIMIT:
+                raise ExponentOutOfRange(f"p(u, v) may reach exponent {bound}, past +-{EXP_LIMIT}")
+        tau = taus[i]
         if not tau:
             continue
         ft = gammas.get(tau, False)
@@ -487,35 +474,33 @@ def _split_sum_holds(datum: QuantumDatum, k: int, m: int) -> bool:
         fg = None
         if ft is not None:
             # dividing by the monomial of that key shifts the form
-            key = split_keys[i]
+            key = -sum(map(cols.__getitem__, lidx))
             e = ((key + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
             fg = (ft[0] - (key - e), ft[1] - e, ft[2], ft[3])
         gamma = None
-        right = _image_forms(datum, images, k, i, bits)
-        for zl, (cl, fl) in _image_forms(datum, images, i + 1, m, bits).items():
+        for zl, (cl, fl) in left.items():
             fgl = _form_mul(fg, fl)
             for zr, (cr, fr) in right.items():
                 pair = (zl, zr)
-                a = actual.get(pair)
+                a, fa = whole.get(zl + zr, (None, None))
                 if a is None or pair in reached:
                     return False
                 reached.add(pair)
-                cz, fa = whole.get(zl + zr, (None, None))
-                same = _forms_agree(fgl, fr, fa if a is cz else kronecker_form(a, bits), bits)
+                same = _forms_agree(fgl, fr, fa, bits)
                 if same is None:
                     if gamma is None:
-                        gamma = tau * qfac / datum.p_words(datum.series_word(i + 1, m),
-                                                           datum.series_word(k, i))
+                        gamma = tau * qfac / datum.p_words(lidx, ridx)
                     same = gamma * cl * cr == a
                 if not same:
                     return False
-    return len(reached) == len(actual)
+    return len(reached) == sum(len(z) - 1 for z in whole)
 
 
 def _coproduct_case(datum: QuantumDatum, k: int, m: int,
                     name: str) -> CaseResult:
     """Check the coproduct of v/e[k,m] by the split sum of the tau table
-    (:func:`_split_sum_holds`); only a failure runs discover, whose taus,
+    (:func:`_split_sum_holds`), which reads each pair off the image and
+    builds no coproduct; only a failure runs discover, whose taus,
     compared with the tau table, give the verdict and the witness.
 
     The two verdicts agree.  A holding split sum is the passing assert
@@ -541,10 +526,12 @@ def _coproduct_case(datum: QuantumDatum, k: int, m: int,
 def verify_coproducts(datum: QuantumDatum) -> VerificationReport:
     """The coproduct formula holds with the closed-form tau for every
     interval 1 <= k <= m < 2n (k <= m <= n for series A).  Each interval
-    is checked once by the split sum of the tau table, on Kronecker forms
+    is checked once by the split sum of the tau table, which reads each
+    tensor pair off the interval's image and decides it on Kronecker forms
     where they decide (:func:`_split_sum_holds`); only a failing one is
-    recomputed in discover mode, so its witness names the first tau that
-    differs from the table, or the first tensor pair the formula misses."""
+    recomputed in discover mode, which builds the reduced coproduct, so its
+    witness names the first tau that differs from the table, or the first
+    tensor pair the formula misses."""
     t0 = time.monotonic()
     top = datum.max_letter
     sym = "e" if datum.series == "D" else "v"

@@ -709,7 +709,7 @@ def test_keyed_bracket_refuses_where_keys_could_wrap():
 
 @given(st.sampled_from(sorted(KEYED_DATA)), st.data())
 @settings(max_examples=150, deadline=None)
-def test_keyed_eval_free_is_the_laurent_walk(name, data):
+def test_eval_free_is_the_letter_product_walk(name, data):
     # sums that mix multidegrees, with folded twins, multi-term
     # coefficients, pairs of opposite sign whose last letters are folded
     # twins, so their prefixes cancel before the letter product, and at
@@ -734,7 +734,7 @@ def test_keyed_eval_free_is_the_laurent_walk(name, data):
     assert got == eval_by_words(datum, f)
 
 
-def test_keyed_eval_free_merges_each_letter_product_whole():
+def test_eval_free_merges_each_letter_product_whole():
     # the Serre relation [[x1, x2], x2] of C_2 without its word x1 x2 x2:
     # part way through the letter product of the group ending in x2, the
     # word (x2 x1 x2) that the group ending in x1 left cancels, and the
@@ -747,7 +747,7 @@ def test_keyed_eval_free_merges_each_letter_product_whole():
     assert list(got.terms.items()) == list(letter_product_walk(C2, f.terms).items())
 
 
-def test_keyed_eval_free_refuses_keys_past_the_exponent_range():
+def test_eval_free_refuses_letter_products_past_the_exponent_range():
     # with t_12 raised to 2^28 every product of the letter walk is a
     # range-checked Laurent product, so no key can wrap: an image whose
     # exponents stay in range is the word-by-word one, and placing x2
@@ -764,7 +764,7 @@ def test_keyed_eval_free_refuses_keys_past_the_exponent_range():
     assert eval_free(big, one) == eval_by_words(big, one)
 
 
-def test_keyed_eval_free_takes_only_laurent_coefficients():
+def test_eval_free_takes_coefficients_into_the_datum_ring():
     # an int coefficient is taken into the datum's ring, and a coefficient
     # over another datum's variables is refused, as a Laurent product
     # refuses it
@@ -779,7 +779,7 @@ def test_keyed_eval_free_takes_only_laurent_coefficients():
 
 
 @pytest.mark.parametrize("series,rank", [("C", "4"), ("D", "5")])
-def test_symbolic_suites_walk_only_packed_keys(monkeypatch, capsys, series, rank):
+def test_symbolic_suites_evaluate_by_letter_products(monkeypatch, capsys, series, rank):
     # every bracket of a symbolic run walks packed keys: no bracket scalars
     # are built over a Laurent q; every evaluation runs the letter product,
     # and the pbw suite's products over ints still take the generic walk

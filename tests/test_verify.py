@@ -170,6 +170,30 @@ def test_coproduct_formula_rejects_a_non_proportional_split(monkeypatch):
         assert f"at (x1 x2 x3 x4 x2)(x)(x1): {c} != {c * 2}" in str(err.value)
 
 
+def _plant_in_image(monkeypatch, datum, k, m, edit):
+    """Make verify's generator_image, which the split records and
+    coproduct_formula both read, apply ``edit`` to a copy of the terms of
+    the datum's image of (k, m); the datum's records start empty, so they
+    read the planted image."""
+    real = verify.generator_image
+
+    def planted(d, a, b):
+        img = real(d, a, b)
+        if d is not datum or (a, b) != (k, m):
+            return img
+        terms = dict(img.terms)
+        edit(terms)
+        return ShuffleElem(terms)
+
+    monkeypatch.setattr(verify, "generator_image", planted)
+    monkeypatch.setattr(datum, "_forms", [])
+
+
+def _double(terms):
+    for z in terms:
+        terms[z] = terms[z] * 2
+
+
 def test_coproduct_discover_reads_a_doubled_split(monkeypatch):
     # each split tensor of v[1,5] in C_3 is one pair, so doubling split 2's
     # pair keeps the coproduct proportional: discover finds tau_2 doubled
@@ -179,8 +203,13 @@ def test_coproduct_discover_reads_a_doubled_split(monkeypatch):
         coproduct_formula(C3, 1, 5, mode="assert")
     found = coproduct_formula(C3, 1, 5, mode="discover")
     assert found.tau_map() == {**taus, 2: taus[2] * 2}
+    # the suite reads each split off the image, so double the image of
+    # v[1,5]: it stays proportional, and discover finds every tau doubled
+    monkeypatch.undo()
+    _plant_in_image(monkeypatch, C3, 1, 5, _double)
     report = verify_coproducts(C3)
     assert [c.name for c in report.failures()] == ["coproduct v[1,5]"]
+    assert report.failures()[0].witness == "at tau_1: 2 != 1"
 
 
 @pytest.mark.parametrize("mode", ["Discover", None, ""])
@@ -212,11 +241,24 @@ def test_coproduct_suite_catches_a_wrong_closed_form(monkeypatch):
 
 
 def test_an_cross_check_catches_a_non_unit_tau(monkeypatch):
-    # v[1,3] in A_3: doubling split 2's one pair makes discover find tau_2 = 2
-    _double_coproduct_at(monkeypatch, ((3,), (2, 1)))
-    report = verify_an_no_exceptions(make_datum("A", 3))
+    # v[1,3] in A_3: doubling its image makes discover find every tau = 2
+    a3 = make_datum("A", 3)
+    _plant_in_image(monkeypatch, a3, 1, 3, _double)
+    report = verify_an_no_exceptions(a3)
     assert [c.name for c in report.failures()] == ["v[1,3]"]
-    assert report.failures()[0].witness == "at tau_2: 2 != 1"
+    assert report.failures()[0].witness == "at tau_1: 2 != 1"
+
+
+def test_coproduct_suites_build_no_reduced_coproduct(monkeypatch):
+    # the split sum reads each pair of a passing interval off its image
+    def no_coproduct(*args, **kwargs):
+        pytest.fail("a coproduct suite built a braided coproduct")
+
+    monkeypatch.setattr(verify, "braided_coproduct", no_coproduct)
+    for series, n in (("C", 4), ("D", 5)):
+        for mode in ("multiparameter", "numeric"):
+            assert verify_coproducts(make_datum(series, n, mode)).passed
+    assert verify_an_no_exceptions(make_datum("A", 3)).passed
 
 
 def _discover_case(datum, k, m, name):
@@ -234,47 +276,60 @@ def _discover_case(datum, k, m, name):
 
 
 FAULTS = {
-    "double": lambda terms, key: terms.__setitem__(key, terms[key] * 2),
-    "negate": lambda terms, key: terms.__setitem__(key, -terms[key]),
-    "drop": lambda terms, key: terms.__delitem__(key),
-    # a pair of the wrong total degree, so no split can cover it
-    "stray": lambda terms, key: terms.__setitem__(
-        (key[0], key[1] + (1,)), terms[key]),
+    "double": lambda terms, z: terms.__setitem__(z, terms[z] * 2),
+    "negate": lambda terms, z: terms.__setitem__(z, -terms[z]),
+    "drop": lambda terms, z: terms.__delitem__(z),
+    # a comonomial one letter longer, so its cuts have the wrong degree
+    "stray": lambda terms, z: terms.__setitem__(z + (1,), terms[z]),
 }
 
 
 @pytest.mark.parametrize("d", [C3, D4], ids=lambda d: f"{d.series}{d.n}")
 def test_assert_first_case_matches_discover_under_planted_faults(monkeypatch, d):
     # assert mode decides a case alone only when it passes; a fault planted
-    # at any pair of any reduced coproduct must give the verdict and witness
-    # of discover plus the table
-    real = verify.braided_coproduct
+    # at any comonomial of the interval's image or of either factor image
+    # of a split must give the verdict and witness of discover plus the table
+    real = verify.generator_image
     planted = [None]
 
-    def faulty(s, reduced=False):
-        t = real(s, reduced)
-        if planted[0] is not None:
-            fault, key = planted[0]
-            FAULTS[fault](t.terms, key)
-        return t
+    def faulty(datum, k, m):
+        img = real(datum, k, m)
+        if planted[0] is None or planted[0][1] != (k, m):
+            return img
+        fault, _, z = planted[0]
+        terms = dict(img.terms)
+        FAULTS[fault](terms, z)
+        return ShuffleElem(terms)
 
-    monkeypatch.setattr(verify, "braided_coproduct", faulty)
+    monkeypatch.setattr(verify, "generator_image", faulty)
+    # the records memoise the forms, so each plant starts them empty
+    monkeypatch.setattr(d, "_forms", [])
     witnesses = set()
+    plants = []
     for k in range(1, d.max_letter + 1):
         for m in range(k + 1, d.max_letter + 1):
             planted[0] = None
-            keys = coproduct_formula(d, k, m).braided.terms
+            d._forms.clear()
             assert verify._coproduct_case(d, k, m, "case") == \
                 verify.CaseResult("case", True)
-            for key in keys:
-                for fault in FAULTS:
-                    planted[0] = (fault, key)
-                    got = verify._coproduct_case(d, k, m, "case")
-                    assert got == _discover_case(d, k, m, "case"), (k, m, key, fault)
-                    if not got.passed:
-                        witnesses.add(got.witness.startswith("at tau_"))
+            intervals = [(k, m)] + [s for i in range(k, m) for s in ((i + 1, m), (k, i))]
+            for interval in intervals:
+                for z in real(d, *interval).terms:
+                    for fault in FAULTS:
+                        planted[0] = (fault, interval, z)
+                        plants.append((k, m, *planted[0]))
+                        d._forms.clear()
+                        got = verify._coproduct_case(d, k, m, "case")
+                        assert got == _discover_case(d, k, m, "case"), plants[-1]
+                        if not got.passed:
+                            witnesses.add(got.witness.startswith("at tau_"))
     # both witness kinds occur: a wrong tau and a pair the formula misses
     assert witnesses == {True, False}
+    assert len(plants) == {"C": 200, "D": 616}[d.series]
+    if d.series == "D":
+        # e[3,4] is one letter whose only split has tau_3 = 0: a stray
+        # comonomial there must fail on the count of the image's cuts
+        assert (3, 4, "stray", (3, 4), (4,)) in plants
 
 
 @pytest.mark.parametrize("d", [C3, D4], ids=lambda d: f"{d.series}{d.n}")
@@ -326,17 +381,9 @@ def test_split_sum_multiplies_scalars_without_a_form(monkeypatch):
     assert all(verify._split_sum_holds(d4, k, m)
                for k in range(1, 8) for m in range(k, 8))
     assert agreed and all(x is None for x in agreed)
-    real_coproduct = verify.braided_coproduct
-    pair = ((1, 2, 3, 4, 2), (1,))
+    z = (1, 2, 3, 4, 2, 1)
     t12 = LaurentPoly.t(D4.varset, 1, 2)
-
-    def with_t12(s, reduced=False):
-        t = real_coproduct(s, reduced)
-        if pair in t.terms:
-            t.terms[pair] = t.terms[pair] + t12
-        return t
-
-    monkeypatch.setattr(verify, "braided_coproduct", with_t12)
+    _plant_in_image(monkeypatch, D4, 1, 7, lambda terms: terms.__setitem__(z, terms[z] + t12))
     agreed.clear()
     assert not verify._split_sum_holds(D4, 1, 7)
     assert None in agreed
@@ -380,25 +427,35 @@ def test_forms_never_answer_wrong(g, l, r, perturb, j, c, bits):
     assert verify._forms_agree(fg, fl, None, bits) is None
 
 
+def _assert_split_keys(datum, k, m):
+    """At every split of (k, m), minus the right record's column sums over
+    the left record's letters is the packed key of the monic monomial
+    p(w(i+1,m), w(k,i))."""
+    records = datum._forms[0][0]
+    for i in range(k, m):
+        (_, letters, _), (_, _, cols) = records[(i + 1, m)], records[(k, i)]
+        p = datum.p_words(datum.series_word(i + 1, m), datum.series_word(k, i))
+        assert p.terms == {-sum(cols[a] for a in letters): 1}
+
+
 @pytest.mark.parametrize("series, n, mode", [("C", 4, "multiparameter"), ("D", 4, "multiparameter"),
                                              ("A", 3, "multiparameter"), ("C", 3, "one-parameter"),
                                              ("D", 4, "numeric")])
 def test_split_keys_are_the_keys_of_p_words(series, n, mode):
-    # the memoised column sums give the packed key of the monic monomial
-    # p(w(i+1,m), w(k,i)) for every split; rationals have no key
+    # the suite fills one record per interval, with the physical letters of
+    # its word and, over monic monomials, the column sums of its keys;
+    # rationals have no key, so numeric records carry no columns
     d = make_datum(series, n, mode)
-    words = {}
-    for k in range(1, d.max_letter + 1):
-        for m in range(k, d.max_letter + 1):
-            got = verify._split_keys(d, words, k, m)
-            if mode == "numeric":
-                assert got == {}
-                continue
-            assert sorted(got) == list(range(k, m))
-            for i, key in got.items():
-                p = d.p_words(d.series_word(i + 1, m), d.series_word(k, i))
-                assert p.terms == {key: 1}
-    assert bool(words) == (mode != "numeric")
+    assert verify_coproducts(d).passed
+    records = d._forms[0][0]
+    top = d.max_letter
+    assert sorted(records) == [(k, m) for k in range(1, top + 1) for m in range(k, top + 1)]
+    for (k, m), (_, letters, cols) in records.items():
+        assert letters == tuple(map(d.physical, d.series_word(k, m)))
+        if mode == "numeric":
+            assert cols is None
+        else:
+            _assert_split_keys(d, k, m)
 
 
 def test_split_keys_refuse_past_the_exponent_range():
@@ -410,18 +467,21 @@ def test_split_keys_refuse_past_the_exponent_range():
     p[0][1], p[1][0] = t, c3.q_power(-1) / t
     big = QuantumDatum("C", 3, "multiparameter", c3.cartan, c3.d, c3.varset, None,
                        tuple(map(tuple, p)), c3.q)
-    # every split of v[1,5] has 4 or 6 letter pairs; v[1,4] splits into
-    # 3 + 1, 2 + 2 and 1 + 3 letters
-    for m in (5, 4):
-        with pytest.raises(ExponentOutOfRange, match=r"p\(u, v\) may reach exponent"):
-            verify._split_keys(big, {}, 1, m)
+    # the image of v[1,5] is refused already; that of v[1,4] stays in range,
+    # and its 3 + 1 split too, but its 2 + 2 split is refused as p_words
+    # refuses its monomial
     with pytest.raises(ExponentOutOfRange):
+        verify._split_sum_holds(big, 1, 5)
+    with pytest.raises(ExponentOutOfRange) as refused:
         big.p_words(big.series_word(3, 4), big.series_word(1, 2))
+    with pytest.raises(ExponentOutOfRange, match=r"p\(u, v\) may reach exponent") as err:
+        verify._split_sum_holds(big, 1, 4)
+    assert str(err.value) == str(refused.value)
     with pytest.raises(ExponentOutOfRange):
         verify_coproducts(big)
     for k, m in ((2, 3), (1, 3)):
-        for i, key in verify._split_keys(big, {}, k, m).items():
-            assert big.p_words(big.series_word(i + 1, m), big.series_word(k, i)).terms == {key: 1}
+        assert verify._split_sum_holds(big, k, m)
+        _assert_split_keys(big, k, m)
 
 
 @pytest.mark.parametrize("mode", ["multiparameter", "numeric"])
